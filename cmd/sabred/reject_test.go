@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -88,4 +89,46 @@ func TestCompileAcceptsRegistryRouters(t *testing.T) {
 func escaped(s string) string {
 	b, _ := json.Marshal(s)
 	return strings.Trim(string(b), `"`)
+}
+
+// TestCompileRejectsHostileGateDefinitions: a gate body that calls
+// itself, and a definition chain whose expansion would run to a million
+// gates, are client errors on every compile path (sync, streamed and
+// async). The parser refuses both before expanding anything, so the
+// daemon answers 400 and keeps serving.
+func TestCompileRejectsHostileGateDefinitions(t *testing.T) {
+	ts, _ := newTestServer(t)
+
+	var bomb strings.Builder
+	bomb.WriteString("OPENQASM 2.0;\nqreg q[2];\ngate g0 a { x a; x a; }\n")
+	for i := 1; i < 20; i++ {
+		fmt.Fprintf(&bomb, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	bomb.WriteString("g19 q[0];\n")
+	hostile := map[string]string{
+		"recursive": "OPENQASM 2.0;\nqreg q[2];\ngate foo a { foo a; }\nfoo q[0];\n",
+		"bomb":      bomb.String(),
+	}
+	for name, src := range hostile {
+		if resp, _ := postQASM(t, ts.URL+"/compile?device=tokyo", src); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s /compile: status %d, want 400", name, resp.StatusCode)
+		}
+		resp, err := http.Post(ts.URL+"/compile?stream=1&device=tokyo", "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s stream: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s /compile?stream=1: status %d, want 400", name, resp.StatusCode)
+		}
+		if resp, _ := postJobJSON(t, ts.URL+"/jobs", compileRequest{QASM: src, Device: "tokyo"}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s /jobs: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	// Still up and compiling.
+	resp, out := postQASM(t, ts.URL+"/compile?device=tokyo", tinyQASM)
+	if resp.StatusCode != http.StatusOK || out.QASM == "" {
+		t.Fatalf("compile after hostile requests: status %d", resp.StatusCode)
+	}
 }

@@ -20,6 +20,16 @@ func New(n int) *Circuit {
 	return &Circuit{numQubits: n}
 }
 
+// FromGates returns a circuit over n qubits that takes gates over as
+// its gate list, without copying. Like AppendTrusted it does not
+// validate: callers must guarantee every gate references wires inside
+// the circuit, and must not modify gates afterwards.
+func FromGates(n int, gates []Gate) *Circuit {
+	c := New(n)
+	c.gates = gates
+	return c
+}
+
 // NewNamed returns an empty named circuit over n qubits. The name is
 // carried through compilation for reporting.
 func NewNamed(name string, n int) *Circuit {

@@ -5,217 +5,261 @@ import (
 	"strconv"
 )
 
-// expr is a parsed parameter expression. Expressions appear in gate
-// parameter lists and inside gate bodies, where they may reference the
-// gate's formal parameters; eval resolves formals through env.
-type expr interface {
-	eval(env map[string]float64) (float64, error)
+// A parameter expression compiles to a postfix program of exprOps.
+// Expressions appear in gate parameter lists and inside gate bodies,
+// where they may reference the gate's formal parameters: the compiler
+// resolves each formal to its index, so evaluation reads the actual
+// values from a slice and needs neither a tree nor a map.
+type opcode uint8
+
+const (
+	opConst opcode = iota // push val
+	opParam               // push env[idx]
+	opNeg
+	opSin
+	opCos
+	opTan
+	opExp
+	opLn
+	opSqrt
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opPow
+)
+
+var functions = map[string]opcode{
+	"sin": opSin, "cos": opCos, "tan": opTan,
+	"exp": opExp, "ln": opLn, "sqrt": opSqrt,
 }
 
-type numExpr float64
-
-func (n numExpr) eval(map[string]float64) (float64, error) { return float64(n), nil }
-
-type varExpr struct {
-	name string
-	line int
-	col  int
+var binaryOps = [...]opcode{
+	tokPlus: opAdd, tokMinus: opSub, tokStar: opMul, tokSlash: opDiv, tokCaret: opPow,
 }
 
-func (v varExpr) eval(env map[string]float64) (float64, error) {
-	if v.name == "pi" {
-		return math.Pi, nil
-	}
-	if env != nil {
-		if val, ok := env[v.name]; ok {
-			return val, nil
-		}
-	}
-	return 0, errf(v.line, v.col, "unknown parameter %q", v.name)
+type exprOp struct {
+	op        opcode
+	idx       int // formal index, for opParam
+	val       float64
+	line, col int // operator position, for opDiv's error
 }
 
-type unaryExpr struct {
-	op        string // "-" or a function name
-	arg       expr
+// expr is one compiled parameter expression and where it starts.
+type expr struct {
+	ops       []exprOp
 	line, col int
 }
 
-func (u unaryExpr) eval(env map[string]float64) (float64, error) {
-	v, err := u.arg.eval(env)
-	if err != nil {
-		return 0, err
+// parseExpr compiles the expression starting at p.tok into p.prog,
+// resolving identifiers against formals (nil at top level). It leaves
+// p.tok on the first token after the expression.
+func (p *parser) parseExpr(formals []string) (expr, error) {
+	e := expr{line: p.tok.line, col: p.tok.col}
+	p.prog = p.prog[:0]
+	if err := p.additive(formals); err != nil {
+		return expr{}, err
 	}
-	switch u.op {
-	case "-":
-		return -v, nil
-	case "sin":
-		return math.Sin(v), nil
-	case "cos":
-		return math.Cos(v), nil
-	case "tan":
-		return math.Tan(v), nil
-	case "exp":
-		return math.Exp(v), nil
-	case "ln":
-		return math.Log(v), nil
-	case "sqrt":
-		return math.Sqrt(v), nil
-	default:
-		return 0, errf(u.line, u.col, "unknown function %q", u.op)
-	}
+	e.ops = p.prog
+	return e, nil
 }
 
-type binExpr struct {
-	op        tokenKind
-	l, r      expr
-	line, col int
-}
-
-func (b binExpr) eval(env map[string]float64) (float64, error) {
-	l, err := b.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.op {
-	case tokPlus:
-		return l + r, nil
-	case tokMinus:
-		return l - r, nil
-	case tokStar:
-		return l * r, nil
-	case tokSlash:
-		if r == 0 {
-			return 0, errf(b.line, b.col, "division by zero in parameter expression")
-		}
-		return l / r, nil
-	case tokCaret:
-		return math.Pow(l, r), nil
-	default:
-		return 0, errf(b.line, b.col, "unknown operator")
-	}
-}
-
-// parseExpr parses an additive expression (lowest precedence).
-func (p *parser) parseExpr() (expr, error) {
-	left, err := p.parseTerm()
-	if err != nil {
-		return nil, err
+// additive parses term (('+'|'-') term)*: the lowest precedence.
+func (p *parser) additive(formals []string) error {
+	if err := p.term(formals); err != nil {
+		return err
 	}
 	for p.tok.kind == tokPlus || p.tok.kind == tokMinus {
-		op, line, col := p.tok.kind, p.tok.line, p.tok.col
+		op := exprOp{op: binaryOps[p.tok.kind], line: p.tok.line, col: p.tok.col}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		right, err := p.parseTerm()
-		if err != nil {
-			return nil, err
+		if err := p.term(formals); err != nil {
+			return err
 		}
-		left = binExpr{op: op, l: left, r: right, line: line, col: col}
+		p.prog = append(p.prog, op)
 	}
-	return left, nil
+	return nil
 }
 
-func (p *parser) parseTerm() (expr, error) {
-	left, err := p.parsePower()
-	if err != nil {
-		return nil, err
+// term parses power (('*'|'/') power)*.
+func (p *parser) term(formals []string) error {
+	if err := p.power(formals); err != nil {
+		return err
 	}
 	for p.tok.kind == tokStar || p.tok.kind == tokSlash {
-		op, line, col := p.tok.kind, p.tok.line, p.tok.col
+		op := exprOp{op: binaryOps[p.tok.kind], line: p.tok.line, col: p.tok.col}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		right, err := p.parsePower()
-		if err != nil {
-			return nil, err
+		if err := p.power(formals); err != nil {
+			return err
 		}
-		left = binExpr{op: op, l: left, r: right, line: line, col: col}
+		p.prog = append(p.prog, op)
 	}
-	return left, nil
+	return nil
 }
 
-// parsePower handles '^' with right associativity.
-func (p *parser) parsePower() (expr, error) {
-	base, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+// power parses unary ('^' power)?: '^' is right associative.
+func (p *parser) power(formals []string) error {
+	if err := p.unary(formals); err != nil {
+		return err
 	}
-	if p.tok.kind == tokCaret {
-		line, col := p.tok.line, p.tok.col
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		exp, err := p.parsePower()
-		if err != nil {
-			return nil, err
-		}
-		return binExpr{op: tokCaret, l: base, r: exp, line: line, col: col}, nil
+	if p.tok.kind != tokCaret {
+		return nil
 	}
-	return base, nil
+	op := exprOp{op: opPow, line: p.tok.line, col: p.tok.col}
+	if err := p.advance(); err != nil {
+		return err
+	}
+	if err := p.power(formals); err != nil {
+		return err
+	}
+	p.prog = append(p.prog, op)
+	return nil
 }
 
-func (p *parser) parseUnary() (expr, error) {
+func (p *parser) unary(formals []string) error {
 	switch p.tok.kind {
 	case tokMinus:
-		line, col := p.tok.line, p.tok.col
+		op := exprOp{op: opNeg, line: p.tok.line, col: p.tok.col}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		arg, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.unary(formals); err != nil {
+			return err
 		}
-		return unaryExpr{op: "-", arg: arg, line: line, col: col}, nil
+		p.prog = append(p.prog, op)
+		return nil
 	case tokPlus:
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		return p.parseUnary()
+		return p.unary(formals)
 	case tokNumber:
-		v, err := strconv.ParseFloat(p.tok.text, 64)
+		v, err := strconv.ParseFloat(string(p.tok.text), 64)
 		if err != nil {
-			return nil, errf(p.tok.line, p.tok.col, "invalid number %q", p.tok.text)
+			return errf(p.tok.line, p.tok.col, "invalid number %q", p.tok.text)
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return numExpr(v), nil
+		p.prog = append(p.prog, exprOp{op: opConst, val: v})
+		return p.advance()
 	case tokLParen:
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err := p.additive(formals); err != nil {
+			return err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.skip(tokRParen)
 	case tokIdent:
-		name, line, col := p.tok.text, p.tok.line, p.tok.col
+		line, col := p.tok.line, p.tok.col
+		fn, isFn := functions[string(p.tok.text)]
+		isPi := string(p.tok.text) == "pi"
+		idx := indexOf(formals, p.tok.text)
+		var name string // copied only when an error may need it
+		if !isPi && idx < 0 {
+			name = string(p.tok.text)
+		}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		if p.tok.kind == tokLParen { // function call
+			if !isFn {
+				if isPi {
+					name = "pi"
+				} else if idx >= 0 {
+					name = formals[idx]
+				}
+				return errf(line, col, "unknown function %q", name)
+			}
 			if err := p.advance(); err != nil {
-				return nil, err
+				return err
 			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			if err := p.additive(formals); err != nil {
+				return err
 			}
-			if _, err := p.expect(tokRParen); err != nil {
-				return nil, err
-			}
-			return unaryExpr{op: name, arg: arg, line: line, col: col}, nil
+			p.prog = append(p.prog, exprOp{op: fn, line: line, col: col})
+			return p.skip(tokRParen)
 		}
-		return varExpr{name: name, line: line, col: col}, nil
+		switch {
+		case isPi:
+			p.prog = append(p.prog, exprOp{op: opConst, val: math.Pi})
+		case idx >= 0:
+			p.prog = append(p.prog, exprOp{op: opParam, idx: idx})
+		default:
+			return errf(line, col, "unknown parameter %q", name)
+		}
+		return nil
 	default:
-		return nil, errf(p.tok.line, p.tok.col, "expected expression, found %v %q", p.tok.kind, p.tok.text)
+		return errf(p.tok.line, p.tok.col, "expected expression, found %v %q", p.tok.kind, p.tok.text)
 	}
+}
+
+// indexOf returns the index of name in names, or -1.
+func indexOf(names []string, name []byte) int {
+	for i, n := range names {
+		if n == string(name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// eval runs a compiled expression with formal values env and checks
+// the result is a finite angle.
+func (p *parser) eval(e expr, env []float64) (float64, error) {
+	st := p.stack[:0]
+	for i := range e.ops {
+		o := &e.ops[i]
+		switch o.op {
+		case opConst:
+			st = append(st, o.val)
+			continue
+		case opParam:
+			st = append(st, env[o.idx])
+			continue
+		}
+		top := &st[len(st)-1]
+		switch o.op {
+		case opNeg:
+			*top = -*top
+		case opSin:
+			*top = math.Sin(*top)
+		case opCos:
+			*top = math.Cos(*top)
+		case opTan:
+			*top = math.Tan(*top)
+		case opExp:
+			*top = math.Exp(*top)
+		case opLn:
+			*top = math.Log(*top)
+		case opSqrt:
+			*top = math.Sqrt(*top)
+		default:
+			r := *top
+			st = st[:len(st)-1]
+			l := &st[len(st)-1]
+			switch o.op {
+			case opAdd:
+				*l += r
+			case opSub:
+				*l -= r
+			case opMul:
+				*l *= r
+			case opDiv:
+				if r == 0 {
+					return 0, errf(o.line, o.col, "division by zero in parameter expression")
+				}
+				*l /= r
+			case opPow:
+				*l = math.Pow(*l, r)
+			}
+		}
+	}
+	p.stack = st
+	v := st[0]
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, errf(e.line, e.col, "parameter evaluates to %v, not a finite angle", v)
+	}
+	return v, nil
 }

@@ -7,11 +7,16 @@
 // gates, user gate definitions (inlined at parse time), parameter
 // expressions over pi with + - * / ^ and the usual unary functions,
 // whole-register broadcast, measure, barrier and comments.
+//
+// There is one front end: GateScanner lexes in place over a refilled
+// byte window and yields elementary gates statement by statement;
+// Parse, ParseReader and ParseFile drain it into a circuit.
 package qasm
 
 import (
+	"errors"
 	"fmt"
-	"strings"
+	"io"
 	"unicode"
 )
 
@@ -85,24 +90,49 @@ func (k tokenKind) String() string {
 	}
 }
 
-// token is one lexical unit with its source position.
+// punct maps the single-byte tokens to their kinds.
+var punct = [256]tokenKind{
+	';': tokSemicolon, ',': tokComma, '(': tokLParen, ')': tokRParen,
+	'[': tokLBracket, ']': tokRBracket, '{': tokLBrace, '}': tokRBrace,
+	'+': tokPlus, '*': tokStar, '/': tokSlash, '^': tokCaret,
+}
+
+// token is one lexical unit with its source position. text is a span
+// of the lexer's window (string literals exclude their quotes): it is
+// valid only until the next call to next, so the parser copies a name
+// only when it stores it.
 type token struct {
 	kind tokenKind
-	text string
+	text []byte
 	line int
 	col  int
 }
 
-// lexer converts QASM source into a token stream.
+// defaultWindow is the read window of a scanner over a stream of
+// unknown length; it grows only for a single token longer than itself.
+const defaultWindow = 32 << 10
+
+// maxEmptyReads is how many consecutive (0, nil) reads the lexer
+// tolerates before reporting io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// lexer converts QASM source into a token stream, lexing in place over
+// a byte window that it refills from r. buf[pos:end] is the unread
+// input; line and col are the source position of buf[pos].
 type lexer struct {
-	src  string
+	r    io.Reader
+	buf  []byte
 	pos  int
+	end  int
 	line int
 	col  int
+	rerr error // first error from r, io.EOF at end of input
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+// newLexer returns a lexer reading r through a window of the given
+// size (at least one byte).
+func newLexer(r io.Reader, window int) lexer {
+	return lexer{r: r, buf: make([]byte, max(window, 1)), line: 1, col: 1}
 }
 
 // Error is a QASM syntax or semantic error with source position.
@@ -120,146 +150,234 @@ func errf(line, col int, format string, args ...any) *Error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
+// fill moves the unread bytes to the front of the window, grows the
+// window if they fill it, and reads more. It reports whether new bytes
+// arrived; once r fails (or ends) it records the error and reports
+// false.
+func (l *lexer) fill() bool {
+	if l.rerr != nil {
+		return false
 	}
-	return l.src[l.pos], true
+	if l.pos > 0 {
+		l.end = copy(l.buf, l.buf[l.pos:l.end])
+		l.pos = 0
+	}
+	if l.end == len(l.buf) {
+		grown := make([]byte, 2*len(l.buf))
+		copy(grown, l.buf)
+		l.buf = grown
+	}
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := l.r.Read(l.buf[l.end:])
+		l.end += n
+		if err != nil {
+			l.rerr = err
+			return n > 0
+		}
+		if n > 0 {
+			return true
+		}
+	}
+	l.rerr = io.ErrNoProgress
+	return false
 }
 
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+// peek returns the byte n positions past the read head, refilling the
+// window as needed (which may move the unread bytes, never drop them);
+// ok=false at end of input. A transport error while looking ahead cuts
+// the token short, so it is returned instead.
+func (l *lexer) peek(n int) (byte, bool, error) {
+	for l.pos+n >= l.end {
+		if !l.fill() {
+			return 0, false, l.readErr()
+		}
 	}
-	return c
+	return l.buf[l.pos+n], true, nil
 }
 
-// next returns the next token, skipping whitespace and comments.
-func (l *lexer) next() (token, error) {
+// run returns n plus the length of the run of class bytes starting n
+// bytes past the read head, refilling the window as needed.
+func (l *lexer) run(n int, class *[256]bool) (int, error) {
 	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return token{kind: tokEOF, line: l.line, col: l.col}, nil
+		i := l.pos + n
+		for i < l.end && class[l.buf[i]] {
+			i++
 		}
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				l.advance()
-			}
-		default:
-			return l.lexToken()
+		n = i - l.pos
+		if i < l.end {
+			return n, nil
+		}
+		if !l.fill() {
+			return n, l.readErr()
 		}
 	}
 }
 
-func (l *lexer) lexToken() (token, error) {
-	line, col := l.line, l.col
-	c := l.advance()
-	switch {
-	case c == ';':
-		return token{tokSemicolon, ";", line, col}, nil
-	case c == ',':
-		return token{tokComma, ",", line, col}, nil
-	case c == '(':
-		return token{tokLParen, "(", line, col}, nil
-	case c == ')':
-		return token{tokRParen, ")", line, col}, nil
-	case c == '[':
-		return token{tokLBracket, "[", line, col}, nil
-	case c == ']':
-		return token{tokRBracket, "]", line, col}, nil
-	case c == '{':
-		return token{tokLBrace, "{", line, col}, nil
-	case c == '}':
-		return token{tokRBrace, "}", line, col}, nil
-	case c == '+':
-		return token{tokPlus, "+", line, col}, nil
-	case c == '*':
-		return token{tokStar, "*", line, col}, nil
-	case c == '/':
-		return token{tokSlash, "/", line, col}, nil
-	case c == '^':
-		return token{tokCaret, "^", line, col}, nil
-	case c == '-':
-		if nc, ok := l.peekByte(); ok && nc == '>' {
-			l.advance()
-			return token{tokArrow, "->", line, col}, nil
-		}
-		return token{tokMinus, "-", line, col}, nil
-	case c == '=':
-		if nc, ok := l.peekByte(); ok && nc == '=' {
-			l.advance()
-			return token{tokEquals, "==", line, col}, nil
-		}
-		return token{}, errf(line, col, "unexpected character %q", c)
-	case c == '"':
-		var sb strings.Builder
-		for {
-			nc, ok := l.peekByte()
-			if !ok {
-				return token{}, errf(line, col, "unterminated string literal")
-			}
-			l.advance()
-			if nc == '"' {
-				return token{tokString, sb.String(), line, col}, nil
-			}
-			sb.WriteByte(nc)
-		}
-	case isDigit(c) || c == '.':
-		var sb strings.Builder
-		sb.WriteByte(c)
-		seenExp := false
-		for {
-			nc, ok := l.peekByte()
-			if !ok {
-				break
-			}
-			if isDigit(nc) || nc == '.' {
-				sb.WriteByte(nc)
-				l.advance()
+// readErr is the transport error that ended the input early, or nil
+// at a clean end of input.
+func (l *lexer) readErr() error {
+	if l.rerr == nil || errors.Is(l.rerr, io.EOF) {
+		return nil
+	}
+	return l.rerr
+}
+
+// next lexes the next token into t, skipping whitespace and comments.
+func (l *lexer) next(t *token) error {
+	for {
+		for l.pos < l.end {
+			switch l.buf[l.pos] {
+			case ' ', '\t', '\r':
+				l.pos++
+				l.col++
 				continue
-			}
-			if (nc == 'e' || nc == 'E') && !seenExp {
-				seenExp = true
-				sb.WriteByte(nc)
-				l.advance()
-				if sc, ok := l.peekByte(); ok && (sc == '+' || sc == '-') {
-					sb.WriteByte(sc)
-					l.advance()
-				}
+			case '\n':
+				l.pos++
+				l.line++
+				l.col = 1
 				continue
 			}
 			break
 		}
-		return token{tokNumber, sb.String(), line, col}, nil
-	case isIdentStart(c):
-		var sb strings.Builder
-		sb.WriteByte(c)
+		if l.pos == l.end {
+			if l.fill() {
+				continue
+			}
+			if err := l.readErr(); err != nil {
+				return err
+			}
+			*t = token{kind: tokEOF, line: l.line, col: l.col}
+			return nil
+		}
+		c := l.buf[l.pos]
+		if c != '/' {
+			return l.lexToken(c, t)
+		}
+		nc, _, err := l.peek(1)
+		if err != nil {
+			return err
+		}
+		if nc != '/' {
+			return l.lexToken(c, t)
+		}
+		// Consume the comment as it arrives: it never grows the window.
 		for {
-			nc, ok := l.peekByte()
-			if !ok || !isIdentPart(nc) {
+			i := l.pos
+			for i < l.end && l.buf[i] != '\n' {
+				i++
+			}
+			l.col += i - l.pos
+			l.pos = i
+			if i < l.end || !l.fill() {
 				break
 			}
-			sb.WriteByte(nc)
-			l.advance()
 		}
-		return token{tokIdent, sb.String(), line, col}, nil
-	default:
-		return token{}, errf(line, col, "unexpected character %q", c)
 	}
 }
 
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
+// take consumes the n bytes at the read head as one token of kind k.
+// The token holds no newline, so only the column advances.
+func (l *lexer) take(t *token, k tokenKind, n int) {
+	// Field by field: a whole-struct store goes through a stack
+	// temporary and stalls on store forwarding.
+	t.kind, t.text, t.line, t.col = k, l.buf[l.pos:l.pos+n], l.line, l.col
+	l.pos += n
+	l.col += n
+}
+
+// lexToken lexes the token starting with c, the byte at the read head.
+func (l *lexer) lexToken(c byte, t *token) error {
+	if k := punct[c]; k != tokEOF {
+		l.take(t, k, 1)
+		return nil
+	}
+	switch {
+	case identStart[c]:
+		n, err := l.run(1, &identPart)
+		if err != nil {
+			return err
+		}
+		l.take(t, tokIdent, n)
+		return nil
+	case isDigit(c) || c == '.':
+		n, err := l.run(1, &numberPart)
+		if err != nil {
+			return err
+		}
+		if e, ok, err := l.peek(n); err != nil {
+			return err
+		} else if ok && (e == 'e' || e == 'E') {
+			n++
+			if sc, ok, err := l.peek(n); err != nil {
+				return err
+			} else if ok && (sc == '+' || sc == '-') {
+				n++
+			}
+			if n, err = l.run(n, &numberPart); err != nil {
+				return err
+			}
+		}
+		l.take(t, tokNumber, n)
+		return nil
+	case c == '-' || c == '=':
+		nc, _, err := l.peek(1)
+		if err != nil {
+			return err
+		}
+		switch {
+		case c == '-' && nc == '>':
+			l.take(t, tokArrow, 2)
+			return nil
+		case c == '-':
+			l.take(t, tokMinus, 1)
+			return nil
+		case nc == '=':
+			l.take(t, tokEquals, 2)
+			return nil
+		}
+	case c == '"':
+		return l.lexString(t)
+	}
+	return errf(l.line, l.col, "unexpected character %q", c)
+}
+
+// lexString lexes a double-quoted literal; its text excludes the
+// quotes. Literals may span lines.
+func (l *lexer) lexString(t *token) error {
+	n, err := l.run(1, &stringPart)
+	if err != nil {
+		return err
+	}
+	if _, ok, _ := l.peek(n); !ok {
+		return errf(l.line, l.col, "unterminated string literal")
+	}
+	n++ // the closing quote
+	*t = token{kind: tokString, text: l.buf[l.pos+1 : l.pos+n-1], line: l.line, col: l.col}
+	for _, c := range l.buf[l.pos : l.pos+n] {
+		if c == '\n' {
+			l.line++
+			l.col = 1
+		} else {
+			l.col++
+		}
+	}
+	l.pos += n
+	return nil
+}
+
+// Byte classes. A byte starts an identifier when it is '_' or its
+// Latin-1 rune is a letter (unicode.IsLetter), as it always has been
+// for this lexer; numbers are runs of digits and dots with an optional
+// exponent.
+var identStart, identPart, numberPart, stringPart [256]bool
+
+func init() {
+	for c := 0; c < 256; c++ {
+		identStart[c] = c == '_' || unicode.IsLetter(rune(c))
+		identPart[c] = identStart[c] || isDigit(byte(c))
+		numberPart[c] = isDigit(byte(c)) || c == '.'
+		stringPart[c] = c != '"'
+	}
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }

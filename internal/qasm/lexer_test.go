@@ -1,19 +1,27 @@
 package qasm
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
+// lexAll lexes src through a 4-byte window, so most tokens straddle a
+// refill. Token text is only valid until the next token, so it is
+// copied out.
 func lexAll(t *testing.T, src string) []token {
 	t.Helper()
-	lx := newLexer(src)
+	lx := newLexer(strings.NewReader(src), 4)
 	var out []token
 	for {
-		tok, err := lx.next()
+		var tok token
+		err := lx.next(&tok)
 		if err != nil {
 			t.Fatalf("lex %q: %v", src, err)
 		}
 		if tok.kind == tokEOF {
 			return out
 		}
+		tok.text = append([]byte(nil), tok.text...)
 		out = append(out, tok)
 	}
 }
@@ -42,7 +50,7 @@ func TestLexerNumbers(t *testing.T) {
 	}
 	for src, want := range cases {
 		toks := lexAll(t, src)
-		if len(toks) != 1 || toks[0].kind != tokNumber || toks[0].text != want {
+		if len(toks) != 1 || toks[0].kind != tokNumber || string(toks[0].text) != want {
 			t.Fatalf("%q lexed to %+v", src, toks)
 		}
 	}
@@ -83,14 +91,14 @@ func TestLexerPositions(t *testing.T) {
 
 func TestLexerCommentsSkipped(t *testing.T) {
 	toks := lexAll(t, "a // trailing comment\n// whole line\nb")
-	if len(toks) != 2 || toks[0].text != "a" || toks[1].text != "b" {
+	if len(toks) != 2 || string(toks[0].text) != "a" || string(toks[1].text) != "b" {
 		t.Fatalf("comments mishandled: %+v", toks)
 	}
 }
 
 func TestLexerStrings(t *testing.T) {
 	toks := lexAll(t, `include "qelib1.inc";`)
-	if toks[1].kind != tokString || toks[1].text != "qelib1.inc" {
+	if toks[1].kind != tokString || string(toks[1].text) != "qelib1.inc" {
 		t.Fatalf("string token wrong: %+v", toks[1])
 	}
 }
@@ -98,7 +106,7 @@ func TestLexerStrings(t *testing.T) {
 func TestLexerIdentifiers(t *testing.T) {
 	toks := lexAll(t, "q_0 Abc _x a1b2")
 	for i, want := range []string{"q_0", "Abc", "_x", "a1b2"} {
-		if toks[i].kind != tokIdent || toks[i].text != want {
+		if toks[i].kind != tokIdent || string(toks[i].text) != want {
 			t.Fatalf("ident %d = %+v, want %q", i, toks[i], want)
 		}
 	}
@@ -106,11 +114,11 @@ func TestLexerIdentifiers(t *testing.T) {
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{"@", "#", "=x", `"unterminated`} {
-		lx := newLexer(src)
+		lx := newLexer(strings.NewReader(src), 4)
 		var err error
 		for {
 			var tok token
-			tok, err = lx.next()
+			err = lx.next(&tok)
 			if err != nil || tok.kind == tokEOF {
 				break
 			}

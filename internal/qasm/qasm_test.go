@@ -1,11 +1,15 @@
 package qasm
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/circuit"
 )
@@ -268,14 +272,113 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestErrorPositions: errors carry the true source position, the same
+// from Parse and from the scanner, also for a statement that starts
+// mid-line.
 func TestErrorPositions(t *testing.T) {
-	_, err := Parse("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n")
-	qerr, ok := err.(*Error)
-	if !ok {
-		t.Fatalf("error type %T", err)
+	cases := []struct {
+		src       string
+		line, col int
+	}{
+		{"OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n", 3, 1},
+		{"OPENQASM 2.0;\nqreg q[2];\nh q[0]; foo q[1];\n", 3, 9},
+		{"OPENQASM 2.0;\nqreg q[2];\ngate g a {\n  h a;\n  cx a, a;\n}\n", 5, 3},
 	}
-	if qerr.Line != 3 || qerr.Col != 1 {
-		t.Fatalf("error at %d:%d, want 3:1", qerr.Line, qerr.Col)
+	for _, tc := range cases {
+		_, perr := Parse(tc.src)
+		sc := NewGateScanner(strings.NewReader(tc.src))
+		for sc.Scan() {
+		}
+		for name, err := range map[string]error{"Parse": perr, "GateScanner": sc.Err()} {
+			var qerr *Error
+			if !errors.As(err, &qerr) {
+				t.Fatalf("%s(%q): error %v (%T), want *Error", name, tc.src, err, err)
+			}
+			if qerr.Line != tc.line || qerr.Col != tc.col {
+				t.Errorf("%s(%q): error at %d:%d, want %d:%d", name, tc.src, qerr.Line, qerr.Col, tc.line, tc.col)
+			}
+		}
+	}
+}
+
+// TestRecursiveGateDefinitionRejected: a gate body may call only
+// built-in and previously defined gates (OpenQASM 2.0 §3.4), so a
+// definition that calls itself, or a gate defined after it, is refused
+// where the call is written — before anything is expanded.
+func TestRecursiveGateDefinitionRejected(t *testing.T) {
+	for _, src := range []string{
+		"OPENQASM 2.0;\nqreg q[1];\ngate foo a { foo a; }\nfoo q[0];\n",
+		"OPENQASM 2.0;\nqreg q[1];\ngate a x { h x; b x; }\ngate b x { a x; }\nb q[0];\n",
+	} {
+		_, err := Parse(src)
+		var qerr *Error
+		if !errors.As(err, &qerr) || !strings.Contains(qerr.Msg, "unknown gate") || qerr.Line != 3 {
+			t.Errorf("%q: error %v, want an unknown-gate *Error on line 3", src, err)
+		}
+	}
+	// Redefining a gate is not recursion: the new body's call resolves
+	// to the definition before it.
+	c, err := Parse("OPENQASM 2.0;\nqreg q[1];\ngate foo a { h a; }\ngate foo a { foo a; x a; foo a; }\nfoo q[0];\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Gates(); len(got) != 3 || got[0].Kind != circuit.KindH || got[1].Kind != circuit.KindX || got[2].Kind != circuit.KindH {
+		t.Fatalf("redefinition expanded to %v, want h, x, h", got)
+	}
+}
+
+// doublingBomb is n nested gate definitions, each applying the one
+// before it twice, and one application of the last to target: 2^n
+// gates per target wire, described in a few hundred bytes.
+func doublingBomb(n int, target string) string {
+	var sb strings.Builder
+	sb.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\ngate g0 a { x a; x a; }\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&sb, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&sb, "g%d %s;\n", n-1, target)
+	return sb.String()
+}
+
+// TestExpansionBomb: the 20-level doubling bomb (about 600 bytes that
+// describe 2^20 gates) is refused before anything is expanded — fast
+// and in bounded memory — while an expansion at the per-statement
+// bound is still accepted.
+func TestExpansionBomb(t *testing.T) {
+	bomb := doublingBomb(20, "q[0]")
+	if len(bomb) > 800 {
+		t.Fatalf("bomb is %d bytes; the fixture should stay under 800", len(bomb))
+	}
+	best := time.Hour
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		_, err := Parse(bomb)
+		best = min(best, time.Since(start))
+		var qerr *Error
+		if !errors.As(err, &qerr) || !strings.Contains(qerr.Msg, "more than") || qerr.Line != 24 {
+			t.Fatalf("bomb: error %v, want an over-budget *Error on line 24", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if best > time.Millisecond {
+		t.Errorf("bomb refused in %v at best, want under 1ms", best)
+	}
+	if perParse := (after.TotalAlloc - before.TotalAlloc) / 5; perParse > 64<<10 {
+		t.Errorf("bomb refusal allocated %d bytes per parse, want under 64 KiB", perParse)
+	}
+
+	c, err := Parse(doublingBomb(16, "q[0]"))
+	if err != nil {
+		t.Fatalf("expansion at the bound refused: %v", err)
+	}
+	if c.NumGates() != maxStatementGates {
+		t.Fatalf("16-level expansion gave %d gates, want %d", c.NumGates(), maxStatementGates)
+	}
+	// The bound is per statement, and broadcast counts.
+	if _, err := Parse(doublingBomb(15, "q")); err == nil {
+		t.Fatal("broadcast of a 2^15-gate definition over 5 qubits accepted")
 	}
 }
 
@@ -355,8 +458,8 @@ func TestFormatParam(t *testing.T) {
 		{3 * math.Pi / 4, "3*pi/4"},
 	}
 	for _, tc := range cases {
-		if got := formatParam(tc.v); got != tc.want {
-			t.Errorf("formatParam(%g) = %q, want %q", tc.v, got, tc.want)
+		if got := string(appendParam(nil, tc.v)); got != tc.want {
+			t.Errorf("appendParam(%g) = %q, want %q", tc.v, got, tc.want)
 		}
 	}
 }

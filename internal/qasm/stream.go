@@ -7,21 +7,22 @@ import (
 	"repro/internal/circuit"
 )
 
-// GateScanner is an incremental OpenQASM 2.0 gate-stream parser: it
-// pulls statements off an io.Reader one at a time and yields the
-// flattened elementary gates, never materializing the whole file or a
-// whole-circuit gate slice. Steady-state memory is bounded by the
-// longest single statement (plus the persistent register/gate-def
-// tables), so a multi-gigabyte trace streams in O(1).
+// GateScanner is the OpenQASM 2.0 front end: it lexes r in place
+// through a refilled byte window and yields the flattened elementary
+// gates one statement at a time, never materializing the whole file or
+// a whole-circuit gate slice. Parse, ParseReader and ParseFile drain
+// it, so it accepts exactly their dialect and yields exactly the gates
+// they put in the circuit, in the same order.
 //
-// The scanner accepts exactly the dialect Parse accepts and yields
-// exactly the gates Parse would put in the circuit, in the same order:
-// for any source, draining a GateScanner and Parse(src).Gates() are
-// element-wise identical. Header statements (OPENQASM, include, qreg,
-// creg, gate, opaque) yield no gates but mutate parser state;
-// NumQubits grows as qreg declarations arrive and is final once the
-// first gate is yielded (declarations after the first application are
-// legal QASM and handled, so callers that need the final width up
+// Steady-state memory is the read window (which grows only for a
+// single token longer than it), one statement's gates — at most
+// maxStatementGates, a bound checked before a statement is expanded —
+// and the register and gate-definition tables, so a multi-gigabyte
+// trace streams in bounded memory. Header statements (OPENQASM,
+// include, qreg, creg, gate, opaque) yield no gates but mutate parser
+// state; NumQubits grows as qreg declarations arrive and is final once
+// the first gate is yielded (declarations after the first application
+// are legal QASM and handled, so callers that need the final width up
 // front should size to the device instead).
 //
 // Usage follows bufio.Scanner:
@@ -33,11 +34,7 @@ import (
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type GateScanner struct {
-	r *bufio.Reader
 	p *parser
-
-	stmt []byte // reusable statement buffer
-	line int    // 1-based line number at the read head
 
 	idx  int // next unread gate in p.gates
 	gate circuit.Gate
@@ -47,16 +44,13 @@ type GateScanner struct {
 
 // NewGateScanner returns a scanner reading QASM statements from r.
 func NewGateScanner(r io.Reader) *GateScanner {
-	return &GateScanner{
-		r: bufio.NewReader(r),
-		p: &parser{
-			regOffset: make(map[string]int),
-			regSize:   make(map[string]int),
-			cregSize:  make(map[string]int),
-			defs:      make(map[string]*gateDef),
-		},
-		line: 1,
-	}
+	return newGateScanner(r, defaultWindow)
+}
+
+// newGateScanner returns a scanner whose read window starts at window
+// bytes (at least one): a caller that knows the input size passes it.
+func newGateScanner(r io.Reader, window int) *GateScanner {
+	return &GateScanner{p: newParser(r, window)}
 }
 
 // Scan advances to the next gate, parsing further statements as
@@ -69,19 +63,12 @@ func (s *GateScanner) Scan() bool {
 		}
 		s.p.gates = s.p.gates[:0]
 		s.idx = 0
-		stmt, startLine, ok, err := s.nextStatement()
+		more, err := s.p.statement()
 		if err != nil {
 			s.err = err
 			return false
 		}
-		if !ok {
-			s.eof = true
-			return false
-		}
-		if err := s.parseStatement(stmt, startLine); err != nil {
-			s.err = err
-			return false
-		}
+		s.eof = !more
 	}
 	s.gate = s.p.gates[s.idx]
 	s.idx++
@@ -106,91 +93,6 @@ func (s *GateScanner) Next() (circuit.Gate, bool, error) {
 		return s.gate, true, nil
 	}
 	return circuit.Gate{}, false, s.err
-}
-
-// parseStatement runs the persistent parser over one statement's text.
-// The lexer is rebased to the statement's source line so errors point
-// at the original file position.
-func (s *GateScanner) parseStatement(stmt string, startLine int) error {
-	p := s.p
-	p.lex = &lexer{src: stmt, line: startLine, col: 1}
-	p.peeked = nil
-	if err := p.advance(); err != nil {
-		return err
-	}
-	for p.tok.kind != tokEOF {
-		if err := p.statement(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nextStatement scans the raw byte stream up to the next statement
-// boundary: a ';' at brace depth zero, or the '}' closing a top-level
-// brace block (gate definitions carry no trailing semicolon). Line
-// comments and string literals are tracked so their contents never
-// count as structure. Leading whitespace is skipped so startLine is
-// the statement's first significant line. ok=false reports clean EOF
-// (possibly after trailing trivia).
-func (s *GateScanner) nextStatement() (stmt string, startLine int, ok bool, err error) {
-	s.stmt = s.stmt[:0]
-	startLine = s.line
-	depth := 0
-	sawBrace := false
-	inComment := false
-	inString := false
-	for {
-		b, rerr := s.r.ReadByte()
-		if rerr != nil {
-			if rerr == io.EOF {
-				if len(s.stmt) == 0 {
-					return "", startLine, false, nil
-				}
-				// Unterminated trailing statement: hand it to the
-				// parser, which reports the missing semicolon with a
-				// real position.
-				return string(s.stmt), startLine, true, nil
-			}
-			return "", startLine, false, rerr
-		}
-		if b == '\n' {
-			s.line++
-			inComment = false
-		}
-		if len(s.stmt) == 0 && (b == ' ' || b == '\t' || b == '\r' || b == '\n') {
-			startLine = s.line
-			continue
-		}
-		s.stmt = append(s.stmt, b)
-		if inComment {
-			continue
-		}
-		switch b {
-		case '"':
-			inString = !inString
-		case '/':
-			if !inString && len(s.stmt) >= 2 && s.stmt[len(s.stmt)-2] == '/' {
-				inComment = true
-			}
-		case '{':
-			if !inString {
-				depth++
-				sawBrace = true
-			}
-		case '}':
-			if !inString {
-				depth--
-				if depth <= 0 && sawBrace {
-					return string(s.stmt), startLine, true, nil
-				}
-			}
-		case ';':
-			if !inString && depth == 0 {
-				return string(s.stmt), startLine, true, nil
-			}
-		}
-	}
 }
 
 // ScanGates streams the gates of QASM source r into fn, stopping on
@@ -224,11 +126,7 @@ type StreamWriter struct {
 // and creg of width max(numQubits,1)) to w and returns the writer.
 func NewStreamWriter(w io.Writer, numQubits int) *StreamWriter {
 	sw := &StreamWriter{w: bufio.NewWriter(w)}
-	n := maxInt(numQubits, 1)
-	sw.w.WriteString("OPENQASM 2.0;\n")
-	sw.w.WriteString("include \"qelib1.inc\";\n")
-	writeRegLine(sw.w, "qreg q", n)
-	writeRegLine(sw.w, "creg c", n)
+	writeHeader(sw.w, numQubits, true)
 	sw.err = sw.w.Flush()
 	return sw
 }
@@ -259,28 +157,4 @@ func (sw *StreamWriter) Flush() error {
 	}
 	sw.err = sw.w.Flush()
 	return sw.err
-}
-
-// writeRegLine writes "<prefix>[<n>];\n" without fmt overhead.
-func writeRegLine(w *bufio.Writer, prefix string, n int) {
-	w.WriteString(prefix)
-	w.WriteByte('[')
-	var buf [20]byte
-	w.Write(appendInt(buf[:0], n))
-	w.WriteString("];\n")
-}
-
-// appendInt appends the decimal form of non-negative n.
-func appendInt(dst []byte, n int) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, tmp[i:]...)
 }

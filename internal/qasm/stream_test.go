@@ -176,13 +176,24 @@ func (f *failReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// TestGateScannerReadError: the reader's error surfaces, also when its
+// data ends mid-token ("meas" of "measure"): the transport error must
+// win over the syntax error the cut token would cause.
 func TestGateScannerReadError(t *testing.T) {
 	boom := errors.New("connection reset")
-	sc := NewGateScanner(&failReader{prefix: []byte("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q["), err: boom})
-	for sc.Scan() {
-	}
-	if !errors.Is(sc.Err(), boom) {
-		t.Fatalf("transport error lost: %v", sc.Err())
+	for _, prefix := range []string{
+		"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[",
+		"OPENQASM 2.0;\nqreg q[2];\nmeas",
+		"OPENQASM 2.0;\nqreg q[2];\nrz(1",
+		"OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -",
+		"OPENQASM 2.0;\ninclude \"qelib",
+	} {
+		sc := NewGateScanner(&failReader{prefix: []byte(prefix), err: boom})
+		for sc.Scan() {
+		}
+		if !errors.Is(sc.Err(), boom) {
+			t.Fatalf("%q: transport error lost: %v", prefix, sc.Err())
+		}
 	}
 }
 

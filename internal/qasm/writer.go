@@ -2,9 +2,9 @@ package qasm
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -16,13 +16,7 @@ import (
 // need pure {1q, CX} output should DecomposeSwaps first).
 func Write(w io.Writer, c *circuit.Circuit) error {
 	bw := bufio.NewWriter(w)
-	n := c.NumQubits()
-	fmt.Fprintln(bw, "OPENQASM 2.0;")
-	fmt.Fprintln(bw, "include \"qelib1.inc\";")
-	fmt.Fprintf(bw, "qreg q[%d];\n", maxInt(n, 1))
-	if c.CountKind(circuit.KindMeasure) > 0 {
-		fmt.Fprintf(bw, "creg c[%d];\n", maxInt(n, 1))
-	}
+	writeHeader(bw, c.NumQubits(), c.CountKind(circuit.KindMeasure) > 0)
 	for _, g := range c.Gates() {
 		if err := writeGate(bw, g); err != nil {
 			return err
@@ -34,75 +28,119 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 // Format returns the QASM text of the circuit.
 func Format(c *circuit.Circuit) string {
 	var sb strings.Builder
+	sb.Grow(64 + 16*c.NumGates())
 	// strings.Builder never fails.
 	_ = Write(&sb, c)
 	return sb.String()
 }
 
-func writeGate(w io.Writer, g circuit.Gate) error {
-	switch g.Kind {
-	case circuit.KindMeasure:
-		_, err := fmt.Fprintf(w, "measure q[%d] -> c[%d];\n", g.Q0, g.Q0)
-		return err
-	case circuit.KindBarrier:
-		_, err := fmt.Fprintf(w, "barrier q[%d];\n", g.Q0)
-		return err
+// writeHeader writes the version, include and register lines for a
+// program of numQubits wires (at least one), with the classical
+// register when creg is set.
+func writeHeader(w *bufio.Writer, numQubits int, creg bool) {
+	n := strconv.AppendInt(nil, int64(max(numQubits, 1)), 10)
+	w.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[")
+	w.Write(n)
+	w.WriteString("];\n")
+	if creg {
+		w.WriteString("creg c[")
+		w.Write(n)
+		w.WriteString("];\n")
 	}
-	var sb strings.Builder
-	sb.WriteString(g.Kind.String())
-	if len(g.Params) > 0 {
-		sb.WriteByte('(')
-		for i, p := range g.Params {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(formatParam(p))
+}
+
+// maxGateText bounds one encoded gate line: a mnemonic, three
+// parameters of at most 24 bytes each and two 20-digit qubit indices.
+const maxGateText = 256
+
+// writeGate encodes g straight into w's free buffer space.
+func writeGate(w *bufio.Writer, g circuit.Gate) error {
+	if w.Available() < maxGateText {
+		if err := w.Flush(); err != nil {
+			return err
 		}
-		sb.WriteByte(')')
 	}
-	fmt.Fprintf(&sb, " q[%d]", g.Q0)
-	if g.TwoQubit() {
-		fmt.Fprintf(&sb, ",q[%d]", g.Q1)
-	}
-	sb.WriteString(";\n")
-	_, err := io.WriteString(w, sb.String())
+	_, err := w.Write(appendGate(w.AvailableBuffer(), g))
 	return err
 }
 
-// formatParam renders an angle, using exact multiples of pi when the
-// value is one (pi/2, -pi/4, ...) so round-trips stay bit-exact for
-// the common cases.
-func formatParam(v float64) string {
-	if v == 0 {
-		return "0"
+// appendGate appends the QASM line of g to dst.
+//
+//sabre:hotpath
+func appendGate(dst []byte, g circuit.Gate) []byte {
+	switch g.Kind {
+	case circuit.KindMeasure:
+		dst = append(dst, "measure q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "] -> c["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "];\n"...)
+		return dst
+	case circuit.KindBarrier:
+		dst = append(dst, "barrier q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "];\n"...)
+		return dst
 	}
-	ratio := v / math.Pi
-	for _, den := range []float64{1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
-		num := ratio * den
-		if num == math.Trunc(num) && math.Abs(num) <= 1024 {
-			n := int64(num)
-			switch {
-			case den == 1 && n == 1:
-				return "pi"
-			case den == 1 && n == -1:
-				return "-pi"
-			case den == 1:
-				return fmt.Sprintf("%d*pi", n)
-			case n == 1:
-				return fmt.Sprintf("pi/%d", int64(den))
-			case n == -1:
-				return fmt.Sprintf("-pi/%d", int64(den))
-			default:
-				return fmt.Sprintf("%d*pi/%d", n, int64(den))
+	dst = append(dst, g.Kind.String()...)
+	if len(g.Params) > 0 {
+		dst = append(dst, '(')
+		for i, p := range g.Params {
+			if i > 0 {
+				dst = append(dst, ',')
 			}
+			dst = appendParam(dst, p)
 		}
+		dst = append(dst, ')')
 	}
-	return fmt.Sprintf("%.17g", v)
+	dst = append(dst, " q["...)
+	dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+	if g.TwoQubit() {
+		dst = append(dst, "],q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q1), 10)
+	}
+	dst = append(dst, "];\n"...)
+	return dst
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// piDenominators are the denominators appendParam tries, in order.
+var piDenominators = [...]float64{1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// appendParam renders an angle, using an exact multiple of pi when the
+// value is one (pi/2, -pi/4, ...) and reading that form back yields
+// the same float, so round-trips stay bit-exact; any other value is
+// written with %.17g precision.
+//
+//sabre:hotpath
+func appendParam(dst []byte, v float64) []byte {
+	if v == 0 {
+		dst = append(dst, '0')
+		return dst
 	}
-	return b
+	ratio := v / math.Pi
+	for _, den := range piDenominators {
+		num := ratio * den
+		if num != math.Trunc(num) || math.Abs(num) > 1024 {
+			continue
+		}
+		// The parser reads n*pi/d as (n*pi)/d.
+		if num*math.Pi/den != v {
+			break
+		}
+		n := int64(num)
+		switch {
+		case n == -1:
+			dst = append(dst, '-')
+		case n != 1:
+			dst = strconv.AppendInt(dst, n, 10)
+			dst = append(dst, '*')
+		}
+		dst = append(dst, "pi"...)
+		if den != 1 {
+			dst = append(dst, '/')
+			dst = strconv.AppendInt(dst, int64(den), 10)
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, v, 'g', 17, 64)
 }
