@@ -49,7 +49,7 @@ func sampleMin(fn func(tb *testing.B)) (nsOp, allocsOp, bytesOp int64) {
 
 // measureRow benchmarks one workload × router combination (best of
 // measureSamples runs). The pseudo-router "sabre-exhaustive" is the
-// sabre backend with Options.ExhaustiveScoring set — the
+// sabre backend with Options.Scoring set to ScoringExhaustive — the
 // pre-delta-scoring reference kept in the trajectory so regressions
 // of the incremental scorer show up as a shrinking gap.
 func measureRow(b workloads.Benchmark, dev *arch.Device, opts core.Options, rname string) benchRow {
@@ -58,7 +58,7 @@ func measureRow(b workloads.Benchmark, dev *arch.Device, opts core.Options, rnam
 	backend := rname
 	if rname == "sabre-exhaustive" {
 		backend = "sabre"
-		ropts.ExhaustiveScoring = true
+		ropts.Scoring = core.ScoringExhaustive
 	}
 	router, err := route.New(backend)
 	if err != nil {

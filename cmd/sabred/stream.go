@@ -69,8 +69,16 @@ func streamMode(r *http.Request) (string, error) {
 	return "", fmt.Errorf("bad stream %q (1|materialized)", v)
 }
 
+// maxStreamQueryValue caps ?window=, ?lookahead= and ?chunk=. Each
+// sizes memory up front or for the whole stream — the arena pre-sizes
+// window slots (about 100 B each), lookahead bounds the live window,
+// chunk the buffered routed gates — and the streaming path has no body
+// cap, so an uncapped value would let one request claim gigabytes.
+const maxStreamQueryValue = 1 << 16
+
 // streamQueryOptions builds core.StreamOptions from ?window=,
-// ?lookahead=, ?chunk=. Zero/absent fields keep the defaults.
+// ?lookahead=, ?chunk=. Zero/absent fields keep the defaults; values
+// above maxStreamQueryValue are refused before anything is allocated.
 func streamQueryOptions(r *http.Request) (core.StreamOptions, error) {
 	var sopts core.StreamOptions
 	q := r.URL.Query()
@@ -85,6 +93,9 @@ func streamQueryOptions(r *http.Request) (core.StreamOptions, error) {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return sopts, fmt.Errorf("bad %s %q: want a non-negative integer", p.name, v)
+		}
+		if n > maxStreamQueryValue {
+			return sopts, fmt.Errorf("bad %s %d: at most %d", p.name, n, maxStreamQueryValue)
 		}
 		*p.dst = n
 	}

@@ -145,6 +145,54 @@ func TestCompileStreamRejects(t *testing.T) {
 	}
 }
 
+// TestStreamQueryOptionsCapped: ?window=, ?lookahead= and ?chunk=
+// above the fixed cap get a 400 on both streaming endpoints before
+// anything is allocated (window=5000000 once pre-allocated 500 MB for
+// a one-gate stream), values at the cap are served, and the daemon
+// keeps serving afterwards.
+func TestStreamQueryOptionsCapped(t *testing.T) {
+	// Registered first so it closes last, after the daemon drained the
+	// accepted job's webhook deliveries.
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+	}))
+	t.Cleanup(hook.Close)
+	ts, _ := newTestServer(t)
+	src := streamSource(t, 12, 200)
+	post := func(url string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+url, "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	over := strconv.Itoa(maxStreamQueryValue + 1)
+	for _, param := range []string{"window", "lookahead", "chunk"} {
+		for _, endpoint := range []string{
+			"/compile?stream=1&device=tokyo",
+			"/compile?stream=materialized&device=tokyo",
+			"/jobs?stream=1&device=tokyo&webhook=" + hook.URL,
+		} {
+			if got := post(endpoint + "&" + param + "=" + over); got != http.StatusBadRequest {
+				t.Fatalf("%s with %s=%s: status %d, want 400", endpoint, param, over, got)
+			}
+		}
+		at := fmt.Sprintf("/compile?stream=1&device=tokyo&%s=%d", param, maxStreamQueryValue)
+		if got := post(at); got != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200 at the cap", at, got)
+		}
+	}
+	if got := post("/jobs?stream=1&device=tokyo&webhook=" + hook.URL); got != http.StatusAccepted {
+		t.Fatalf("in-range stream job after rejections: status %d, want 202", got)
+	}
+	if got := post("/compile?stream=1&device=tokyo"); got != http.StatusOK {
+		t.Fatalf("stream compile after rejections: status %d, want 200", got)
+	}
+}
+
 // TestCompileStreamClientGone499: a request whose context is already
 // dead before the router emits anything maps to the nonstandard 499.
 func TestCompileStreamClientGone499(t *testing.T) {

@@ -73,9 +73,10 @@ func assertSameStream(t *testing.T, label string, a, b *streamOutcome) {
 // through the windowed path and asserts byte-parity against the
 // materialized oracle, then repeats the whole windowed sweep on
 // worker pools of 1, 2, 4 and 8 goroutines (per-worker warm Scratch,
-// workloads pulled off a shared queue) and asserts every worker
-// count reproduces the same bytes — per-worker scratch reuse must
-// never leak state between streams.
+// workloads pulled off a shared queue) under every scoring engine and
+// asserts every combination reproduces the same bytes — per-worker
+// scratch reuse must never leak state between streams, and the
+// engines score streams as identically as materialized passes.
 func TestGoldenStreamingFullSuite(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	opts := core.DefaultOptions()
@@ -93,51 +94,62 @@ func TestGoldenStreamingFullSuite(t *testing.T) {
 		ref[b.Name] = &streamOutcome{gates: sink.gates, res: res}
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		queue := make(chan workloads.Benchmark, len(suite))
-		for _, b := range suite {
-			queue <- b
+	for _, eng := range goldenEngines {
+		opts := opts
+		opts.Scoring = eng.scoring
+		for _, workers := range []int{1, 2, 4, 8} {
+			streamSuiteSweep(t, eng.name, workers, suite, dev, opts, sopts, ref)
 		}
-		close(queue)
+	}
+}
 
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		outs := make([]map[string]*streamOutcome, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scratch := core.NewScratch() // warm across this worker's streams
-				got := make(map[string]*streamOutcome)
-				outs[w] = got
-				for b := range queue {
-					sink := &gateSink{}
-					res, err := core.RouteStream(context.Background(),
-						core.NewCircuitSource(b.Build()), dev, opts, sopts, sink, scratch)
-					if err != nil {
-						errs <- err
-						return
-					}
-					got[b.Name] = &streamOutcome{gates: sink.gates, res: res}
+// streamSuiteSweep routes suite through the windowed path on a pool
+// of workers and asserts every stream matches ref.
+func streamSuiteSweep(t *testing.T, engine string, workers int, suite []workloads.Benchmark, dev *arch.Device, opts core.Options, sopts core.StreamOptions, ref map[string]*streamOutcome) {
+	t.Helper()
+	queue := make(chan workloads.Benchmark, len(suite))
+	for _, b := range suite {
+		queue <- b
+	}
+	close(queue)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	outs := make([]map[string]*streamOutcome, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scratch := core.NewScratch() // warm across this worker's streams
+			got := make(map[string]*streamOutcome)
+			outs[w] = got
+			for b := range queue {
+				sink := &gateSink{}
+				res, err := core.RouteStream(context.Background(),
+					core.NewCircuitSource(b.Build()), dev, opts, sopts, sink, scratch)
+				if err != nil {
+					errs <- err
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-
-		routed := 0
-		for w := range outs {
-			for name, got := range outs[w] {
-				assertSameStream(t, name, ref[name], got)
-				routed++
+				got[b.Name] = &streamOutcome{gates: sink.gates, res: res}
 			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("%s workers=%d: %v", engine, workers, err)
+	}
+
+	routed := 0
+	for w := range outs {
+		for name, got := range outs[w] {
+			assertSameStream(t, engine+"/"+name, ref[name], got)
+			routed++
 		}
-		if routed != len(suite) {
-			t.Fatalf("workers=%d: routed %d workloads, want %d", workers, routed, len(suite))
-		}
+	}
+	if routed != len(suite) {
+		t.Fatalf("%s workers=%d: routed %d workloads, want %d", engine, workers, routed, len(suite))
 	}
 }
 

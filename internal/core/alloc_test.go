@@ -2,7 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/circuit"
+	"repro/internal/mapping"
 )
 
 // steadyStateRouter returns a router parked at its first SWAP-selection
@@ -59,23 +64,55 @@ func TestApplySwapZeroAllocs(t *testing.T) {
 	}
 }
 
+// maxRunAllocs bounds the heap allocations of one full traversal on a
+// warm Scratch: the router, the cloned layouts and the output circuit,
+// never anything per gate or per round.
+const maxRunAllocs = 7
+
+// TestPassRunAllocsFlat guards the per-traversal allocation count: a
+// full PassRunner.Run on a warm Scratch allocates the same handful of
+// objects for a 1k-gate and a 20k-gate circuit, and no more than
+// maxRunAllocs.
+func TestPassRunAllocsFlat(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	n := dev.NumQubits()
+	var counts []float64
+	for _, gates := range []int{1000, 20000} {
+		mix := rand.New(rand.NewSource(int64(gates)))
+		c := circuit.New(n)
+		for c.NumGates() < gates {
+			a, b := mix.Intn(n), mix.Intn(n)
+			switch {
+			case mix.Intn(2) == 0:
+				c.Append(circuit.G1(circuit.KindH, a))
+			case a != b:
+				c.Append(circuit.CX(a, b))
+			}
+		}
+		pr := NewPassRunner(c, dev, DefaultOptions())
+		s := NewScratch()
+		init := mapping.Random(n, rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(1))
+		pr.Run(init, rng, s) // warm the scratch
+		allocs := testing.AllocsPerRun(5, func() {
+			rng.Seed(1)
+			pr.Run(init, rng, s)
+		})
+		if allocs > maxRunAllocs {
+			t.Fatalf("%d-gate traversal on a warm scratch allocates %v times, want at most %d", gates, allocs, maxRunAllocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("traversal allocations grow with circuit size: %v at 1k gates, %v at 20k", counts[0], counts[1])
+	}
+}
+
 // The bitset engine is the default: a zero-value Scoring (or
-// DefaultOptions) must resolve to it, and the legacy ExhaustiveScoring
-// flag must still select the exhaustive oracle after normalization.
+// DefaultOptions) must resolve to it.
 func TestScoringModeResolution(t *testing.T) {
 	if got := DefaultOptions().normalized().Scoring; got != ScoringBitset {
 		t.Fatalf("default scoring = %v, want bitset", got)
-	}
-	o := DefaultOptions()
-	o.ExhaustiveScoring = true
-	if got := o.normalized().Scoring; got != ScoringExhaustive {
-		t.Fatalf("ExhaustiveScoring normalized to %v, want exhaustive", got)
-	}
-	o = DefaultOptions()
-	o.ExhaustiveScoring = true
-	o.Scoring = ScoringDelta
-	if got := o.normalized().Scoring; got != ScoringDelta {
-		t.Fatalf("explicit Scoring lost to legacy flag: got %v, want delta", got)
 	}
 }
 

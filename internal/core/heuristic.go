@@ -29,11 +29,11 @@ import (
 // front/extended order for the base, exactly as the exhaustive scorer
 // does, so bases match bit-for-bit; the delta then adds the (few)
 // changed terms at the end, which re-associates the accumulation and
-// can differ from the from-scratch sum by ~1 ulp (see
-// Options.ExhaustiveScoring for the resulting contract).
-// Options.ExhaustiveScoring keeps the O(|F|+|E|)-per-candidate
+// can differ from the from-scratch sum by ~1 ulp, which could in
+// principle flip a score that lands within ~1e-16 of the 1e-12 tie
+// band. ScoringExhaustive keeps the O(|F|+|E|)-per-candidate
 // reference scorer selectable for validation; the golden determinism
-// suite asserts both scorers route the entire workload suite
+// suite asserts every engine routes the entire workload suite
 // byte-identically, including the noise configurations.
 
 // buildRoundIndex computes the front/extended base distance sums under
@@ -57,28 +57,28 @@ func (r *router) buildRoundIndex() {
 	r.frontSumI, r.extSumI = 0, 0
 	r.frontSumF, r.extSumF = 0, 0
 	weighted := r.wdist != nil
-	for _, gi := range s.front {
-		g := r.circ.Gate(gi)
-		pa, pb := r.layout.Phys(g.Q0), r.layout.Phys(g.Q1)
+	for _, h := range s.front {
+		q0, q1 := int(r.q2[2*h]), int(r.q2[2*h+1])
+		pa, pb := r.layout.Phys(q0), r.layout.Phys(q1)
 		if weighted {
 			r.frontSumF += r.wdist[pa*r.n+pb]
 		} else {
 			r.frontSumI += int64(r.dist[pa*r.n+pb])
 		}
-		r.indexGate(g.Q0, g.Q1, false)
+		r.indexGate(q0, q1, false)
 	}
 	if r.opts.Heuristic == HeuristicBasic {
 		return
 	}
-	for _, gi := range s.extended {
-		g := r.circ.Gate(gi)
-		pa, pb := r.layout.Phys(g.Q0), r.layout.Phys(g.Q1)
+	for _, h := range s.extended {
+		q0, q1 := int(r.q2[2*h]), int(r.q2[2*h+1])
+		pa, pb := r.layout.Phys(q0), r.layout.Phys(q1)
 		if weighted {
 			r.extSumF += r.wdist[pa*r.n+pb]
 		} else {
 			r.extSumI += int64(r.dist[pa*r.n+pb])
 		}
-		r.indexGate(g.Q0, g.Q1, true)
+		r.indexGate(q0, q1, true)
 	}
 }
 
@@ -297,9 +297,6 @@ func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
 //
 //sabre:hotpath
 func (r *router) scoreSwap(e arch.Edge) float64 {
-	if r.opts.ExhaustiveScoring {
-		return r.scoreSwapExhaustive(e)
-	}
 	// Decay factor belongs to the logical qubits being swapped
 	// (Eq. 2: max(decay(SWAP.q1), decay(SWAP.q2))).
 	qa, qb := r.layout.Log(e.A), r.layout.Log(e.B)
@@ -416,8 +413,8 @@ func deltas[D int | float64](s *Scratch, layout mapping.Layout, rowA, rowB []D, 
 // scoreSwapExhaustive is the reference scorer: apply the SWAP to the
 // layout, re-sum every front/extended gate from scratch, undo the
 // SWAP. O(|F|+|E|) per candidate where the delta scorer is O(deg).
-// Kept selectable (Options.ExhaustiveScoring) as the oracle the golden
-// determinism suite compares delta scoring against.
+// Kept selectable (ScoringExhaustive) as the oracle the golden
+// determinism suite compares the incremental scorers against.
 //
 //sabre:hotpath
 func (r *router) scoreSwapExhaustive(e arch.Edge) float64 {
@@ -448,9 +445,8 @@ func (r *router) scoreSwapExhaustive(e arch.Edge) float64 {
 //sabre:hotpath
 func (r *router) frontDistanceSum() float64 {
 	sum := 0.0
-	for _, g := range r.s.front {
-		gate := r.circ.Gate(g)
-		sum += r.distAt(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	for _, h := range r.s.front {
+		sum += r.distAt(r.layout.Phys(int(r.q2[2*h])), r.layout.Phys(int(r.q2[2*h+1])))
 	}
 	return sum
 }
@@ -462,9 +458,8 @@ func (r *router) frontDistanceSum() float64 {
 //sabre:hotpath
 func (r *router) lookaheadScore() float64 {
 	extSum := 0.0
-	for _, g := range r.s.extended {
-		gate := r.circ.Gate(g)
-		extSum += r.distAt(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	for _, h := range r.s.extended {
+		extSum += r.distAt(r.layout.Phys(int(r.q2[2*h])), r.layout.Phys(int(r.q2[2*h+1])))
 	}
 	return r.combine(r.frontDistanceSum(), extSum)
 }

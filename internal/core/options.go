@@ -64,8 +64,13 @@ const (
 	// bit-identical to ScoringBitset, structurally independent of it.
 	ScoringDelta
 	// ScoringExhaustive rescores every front/extended gate from scratch
-	// per candidate — the reference behavior. See ExhaustiveScoring for
-	// its float-associativity caveat under noise models.
+	// per candidate — the reference behavior, for validation and for
+	// benchmarking the incremental engines. With hop-count distances
+	// (the paper's configuration) the sums are exact int64, so it
+	// routes byte-identically to them; under a NoiseModel the float
+	// sums agree only to ~1 ulp (base+Δ re-associates the
+	// accumulation), which the golden suite checks does not flip a
+	// decision on the real noise configurations.
 	ScoringExhaustive
 )
 
@@ -149,22 +154,6 @@ type Options struct {
 	// ParallelTrials, this field is excluded from batch cache keys.
 	Scoring Scoring
 
-	// ExhaustiveScoring disables incremental scoring and rescores
-	// every front/extended gate from scratch for every candidate SWAP —
-	// the pre-optimization reference behavior. It is the legacy spelling
-	// of Scoring: ScoringExhaustive (an explicit non-default Scoring
-	// wins over this flag). With hop-count distances (Noise == nil, the
-	// paper's configuration) the scorers are provably bit-identical —
-	// sums are exact int64 — so routed outputs match byte for byte.
-	// Under a NoiseModel the float sums agree only to ~1 ulp (base+Δ
-	// re-associates the accumulation), which could in principle flip a
-	// score that lands within ~1e-16 of the 1e-12 tie band; the golden
-	// determinism suite verifies byte-identical outputs on the real
-	// noise configurations. This knob exists for validation and for
-	// benchmarking the incremental scorers against their oracle. Leave
-	// false in production.
-	ExhaustiveScoring bool
-
 	// ParallelTrials runs the random restarts on separate goroutines.
 	// Results are bit-identical to the sequential path (each trial owns
 	// its PRNG and the winner is selected in trial order); only
@@ -212,9 +201,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Traversals%2 == 0 {
 		o.Traversals++
-	}
-	if o.ExhaustiveScoring && o.Scoring == ScoringBitset {
-		o.Scoring = ScoringExhaustive
 	}
 	return o
 }

@@ -51,49 +51,68 @@ func (s PassStats) AvgCandidates() float64 {
 }
 
 // PassRunner binds one (circuit, device, options) triple to the
-// trial-invariant state a traversal needs: the dependency DAG of the
-// circuit and the (possibly noise-weighted) flat distance matrix.
-// Construct once, then Run many times with different layouts and
-// seeds — restart trials, annealing chains and reverse traversals all
-// re-route the same circuit, and rebuilding the DAG per traversal was
-// pure waste. A PassRunner is immutable after construction and safe
-// for concurrent Run calls (each Run's mutable state lives in its
-// Scratch).
+// trial-invariant state a traversal needs: the circuit's handle tables
+// (see depTables) and the (possibly noise-weighted) flat distance
+// matrix. Construct once, then Run many times with different layouts
+// and seeds — restart trials, annealing chains and reverse traversals
+// all re-route the same circuit, and rebuilding the dependency tables
+// per traversal was pure waste. A PassRunner is immutable after
+// construction and safe for concurrent Run calls (each Run's mutable
+// state lives in its Scratch).
 type PassRunner struct {
 	circ  *circuit.Circuit
-	dag   *circuit.DAG
 	dev   *arch.Device
 	opts  Options
 	wdist []float64 // flat noise-weighted matrix, nil for hop counts
 
-	// q2 is the flat per-gate qubit-pair table: entries 2*gi and
-	// 2*gi+1 are gate gi's logical qubits (-1, -1 for single-qubit
-	// gates, which never reach the round loops — drain executes them
-	// unconditionally). The round hot paths read pairs from here with
-	// two int32 loads instead of copying a circuit.Gate (whose Params
-	// slice header alone is wider than both entries).
-	q2 []int32
+	// q2 and succ are the read-only depTables columns of the whole
+	// circuit, with handles = gate indices; inDeg holds the initial
+	// indegrees every traversal copies into its Scratch.
+	q2    []int32
+	succ  []int32
+	inDeg []int32
 }
 
 // NewPassRunner prepares circ (already widened to the device size) for
 // repeated traversals on dev under opts.
 func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassRunner {
 	opts = opts.normalized()
+	g := circ.NumGates()
 	pr := &PassRunner{
-		circ: circ,
-		dag:  circuit.BuildDAG(circ),
-		dev:  dev,
-		opts: opts,
-		q2:   make([]int32, 2*circ.NumGates()),
+		circ:  circ,
+		dev:   dev,
+		opts:  opts,
+		q2:    pairTable(circ),
+		succ:  make([]int32, 2*g),
+		inDeg: make([]int32, g),
 	}
-	for gi := 0; gi < circ.NumGates(); gi++ {
-		g := circ.Gate(gi)
-		if g.TwoQubit() {
-			pr.q2[2*gi] = int32(g.Q0)
-			pr.q2[2*gi+1] = int32(g.Q1)
-		} else {
-			pr.q2[2*gi] = -1
-			pr.q2[2*gi+1] = -1
+	// Gate i depends on the previous gate on each of its wires (paper
+	// Fig. 4), so every gate has at most two successors, recorded in
+	// ascending order as the scan reaches them. A gate sharing both
+	// wires with its predecessor is recorded twice, like a DAG's
+	// duplicate edge, and counts twice in its indegree.
+	last := make([]int32, circ.NumQubits())
+	for i := range last {
+		last[i] = -1
+	}
+	for i := range pr.succ {
+		pr.succ[i] = -1
+	}
+	link := func(q, i int) {
+		if p := last[q]; p >= 0 {
+			k := 2 * p
+			if pr.succ[k] >= 0 {
+				k++
+			}
+			pr.succ[k] = int32(i)
+			pr.inDeg[i]++
+		}
+		last[q] = int32(i)
+	}
+	for i, gate := range circ.Gates() {
+		link(gate.Q0, i)
+		if gate.TwoQubit() {
+			link(gate.Q1, i)
 		}
 	}
 	if opts.Noise != nil {
@@ -138,44 +157,56 @@ func (pr *PassRunner) RunContext(ctx context.Context, init mapping.Layout, rng *
 	}, nil
 }
 
-// newRouter resets s (allocating a private scratch for nil) and wires
-// up the mutable state of one traversal: the cloned layout, the ready
-// list seeded from the DAG sources, and the flat read-only tables the
-// round hot loops gather from (distance matrices, per-gate qubit
-// pairs, dense edge endpoints, incident-edge bitsets).
+// newRouter sets up a materialized traversal: the whole circuit is
+// admitted before the first drain, so the tables are the PassRunner's
+// (plus a working indegree copy) and the ready list starts as every
+// dependency-free gate, in ascending order.
 func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
 	}
-	n := pr.dev.NumQubits()
-	s.reset(n, pr.circ.NumGates(), len(pr.dev.Edges()))
-	r := &router{
-		dev:    pr.dev,
-		n:      n,
-		opts:   pr.opts,
-		rng:    rng,
-		circ:   pr.circ,
-		dag:    pr.dag,
-		layout: init.Clone(),
-		s:      s,
-		dist:   pr.dev.Distances(),
-		wdist:  pr.wdist,
-		q2:     pr.q2,
-		ends:   pr.dev.EdgeEndpoints(),
-		inc:    pr.dev.IncidentEdgeWords(),
-		incW:   pr.dev.EdgeWords(),
-		extGen: -1,
-		idxGen: -1,
-
-		cancelled: cancelled,
-	}
-	s.inDeg = r.dag.InDegreesInto(s.inDeg)
-	for i, deg := range s.inDeg {
+	r := newRouter(pr.dev, pr.opts, pr.wdist, init.Clone(), rng, s, pr.circ.NumGates(), cancelled)
+	s.inDeg = append(s.inDeg[:0], pr.inDeg...)
+	r.depTables = depTables{gates: pr.circ.Gates(), q2: pr.q2, succ: pr.succ, inDeg: s.inDeg}
+	for h, deg := range s.inDeg {
 		if deg == 0 {
-			s.ready = append(s.ready, i)
+			s.ready = append(s.ready, h)
 		}
 	}
 	return r
+}
+
+// newRouter resets s for one traversal on dev (marks sized for
+// handles below the given bound) and wires up the mutable state every
+// traversal shares: the layout, the RNG, and the flat read-only device
+// tables the round hot loops gather from (distance matrices, dense
+// edge endpoints, incident-edge bitsets). The caller installs the
+// dependency tables and, for a windowed traversal, the window.
+func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.Layout, rng *rand.Rand, s *Scratch, handles int, cancelled <-chan struct{}) *router {
+	n := dev.NumQubits()
+	s.reset(n, handles, len(dev.Edges()))
+	maxStall := opts.MaxStall
+	if maxStall <= 0 {
+		maxStall = 4*dev.Diameter() + 16
+	}
+	return &router{
+		dev:      dev,
+		n:        n,
+		opts:     opts,
+		rng:      rng,
+		layout:   layout,
+		s:        s,
+		dist:     dev.Distances(),
+		wdist:    wdist,
+		ends:     dev.EdgeEndpoints(),
+		inc:      dev.IncidentEdgeWords(),
+		incW:     dev.EdgeWords(),
+		maxStall: maxStall,
+		extGen:   -1,
+		idxGen:   -1,
+
+		cancelled: cancelled,
+	}
 }
 
 // RoutePass runs one traversal of SABRE's SWAP-based heuristic search
@@ -187,6 +218,48 @@ func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opt
 	return NewPassRunner(circ, dev, opts).Run(init, rng, nil)
 }
 
+// depTables are the handle-indexed tables a traversal reads. A handle
+// names one admitted gate: its gate index in a materialized traversal,
+// its arena slot in a windowed one (see ringDeps). Every loop of
+// Algorithm 1 — drain, the extended-set BFS, the scorers, bridge and
+// forced route — reads gates only through these slices, so one
+// traversal serves both dependency stores with concrete slice loads.
+type depTables struct {
+	gates []circuit.Gate // the gate, emitted remapped on execution
+	// q2 holds two entries per handle: the logical qubit pair of a
+	// two-qubit gate, or (-1, -1). The round hot paths read pairs from
+	// here with two int32 loads instead of copying a circuit.Gate.
+	q2 []int32
+	// succ holds two entries per handle: the successors (-1 padded) in
+	// admission order, a successor sharing both wires listed twice.
+	succ  []int32
+	inDeg []int32 // unexecuted admitted predecessors
+	// gid is each handle's admission sequence number (the "oldest gate"
+	// order of forceRoute); nil when handles are already in admission
+	// order.
+	gid []int64
+}
+
+// pairTable returns c's depTables q2 column, handles = gate indices.
+func pairTable(c *circuit.Circuit) []int32 {
+	q2 := make([]int32, 2*c.NumGates())
+	for i, g := range c.Gates() {
+		q2[2*i], q2[2*i+1] = -1, -1
+		if g.TwoQubit() {
+			q2[2*i], q2[2*i+1] = int32(g.Q0), int32(g.Q1)
+		}
+	}
+	return q2
+}
+
+// order returns h's admission sequence number.
+func (t *depTables) order(h int) int64 {
+	if t.gid != nil {
+		return t.gid[h]
+	}
+	return int64(h)
+}
+
 // router holds the mutable state of one traversal of Algorithm 1.
 // Every slice it appends to lives in the Scratch so steady-state SWAP
 // rounds never touch the allocator.
@@ -196,11 +269,15 @@ type router struct {
 	opts Options
 	rng  *rand.Rand
 
-	circ *circuit.Circuit // logical circuit, width == device size
-	dag  *circuit.DAG
+	depTables
+
+	// win is the admission window of a streaming traversal; nil when
+	// the whole circuit was admitted up front.
+	win *window
 
 	layout mapping.Layout
 	done   int // executed gate count
+	done2q int // executed two-qubit gate count
 
 	s *Scratch
 
@@ -214,22 +291,22 @@ type router struct {
 	dist  []int
 	wdist []float64
 
-	// Flat read-only gather tables for the round hot loops: q2 is the
-	// PassRunner's per-gate qubit-pair table; ends the device's dense
-	// edge-id→endpoints table; inc its per-qubit incident-edge bitsets
-	// with row stride incW.
-	q2   []int32
+	// Flat read-only device gather tables for the round hot loops:
+	// ends the dense edge-id→endpoints table; inc the per-qubit
+	// incident-edge bitsets with row stride incW.
 	ends []int32
 	inc  []uint64
 	incW int
 
 	decaySteps int // SWAP selections since last decay reset
 	stall      int // consecutive SWAPs without executing a gate
+	maxStall   int // stall bound before forceRoute (Options.MaxStall)
 
 	// cancelled is the cancellation signal of the owning context (nil
-	// when the traversal is uncancellable); run polls it once per SWAP
-	// round.
+	// when the traversal is uncancellable); step polls it once per SWAP
+	// round and latches aborted.
 	cancelled <-chan struct{}
+	aborted   bool
 
 	// frontGen increments whenever the front layer's contents change;
 	// extGen records the generation the extended set was computed at.
@@ -237,9 +314,11 @@ type router struct {
 	// walk), so while the front is unchanged — consecutive
 	// non-executing SWAP rounds, or a bridge probe followed by SWAP
 	// selection in the same round — the cached set is served as-is.
-	// idxGen plays the same role for the layout-independent half of
-	// the bitset round index (extOff and the fpart occupancy pattern,
-	// see buildRoundIndexBitset).
+	// (A window admits gates only in rounds whose drain changed the
+	// front, so admission never stales the cache.) idxGen plays the
+	// same role for the layout-independent half of the bitset round
+	// index (extOff and the fpart occupancy pattern, see
+	// buildRoundIndexBitset).
 	frontGen int
 	extGen   int
 	idxGen   int
@@ -294,33 +373,50 @@ func (r *router) distAt(a, b int) float64 {
 	return float64(r.dist[a*r.n+b])
 }
 
-// run is the main loop of Algorithm 1. It reports false when the
-// traversal was cut short by cancellation — checked once per round, so
-// an abandoned trial stops within one SWAP selection of the signal.
+// run drives step to completion. It reports false when the traversal
+// was cut short by cancellation.
 func (r *router) run() bool {
-	maxStall := r.opts.MaxStall
-	if maxStall <= 0 {
-		maxStall = 4*r.dev.Diameter() + 16
+	for !r.step() {
 	}
-	for {
-		r.drain()
-		if len(r.s.front) == 0 {
+	return !r.aborted
+}
+
+// step is one iteration of Algorithm 1's loop: drain every executable
+// gate, then resolve one blocked round by a forced route, a bridge or
+// the best-scoring SWAP. A windowed traversal also admits gates after
+// the drain (window.fill) and hands full output chunks to its sink.
+// Returns true when the traversal is over: every gate executed, the
+// window failed, or the context was cancelled — checked once per
+// round, so an abandoned traversal stops within one SWAP selection of
+// the signal.
+//
+//sabre:hotpath
+func (r *router) step() bool {
+	r.drain()
+	if r.win != nil {
+		if r.win.fill(r) {
 			return true
 		}
-		select {
-		case <-r.cancelled:
-			return false
-		default:
-		}
-		if r.stall >= maxStall {
-			r.forceRoute()
-			continue
-		}
-		if r.opts.UseBridge && r.tryBridge() {
-			continue
-		}
-		r.insertBestSwap()
+	} else if len(r.s.front) == 0 {
+		return true
 	}
+	select {
+	case <-r.cancelled:
+		r.aborted = true
+		return true
+	default:
+	}
+	if r.stall >= r.maxStall {
+		r.forceRoute()
+		return false
+	}
+	if r.opts.UseBridge && r.tryBridge() {
+		r.maybeFlush()
+		return false
+	}
+	r.insertBestSwap()
+	r.maybeFlush()
+	return false
 }
 
 // tryBridge looks for a front-layer CNOT whose qubits sit at distance
@@ -336,8 +432,8 @@ func (r *router) run() bool {
 func (r *router) tryBridge() bool {
 	r.ensureExtended()
 	s := r.s
-	for fi, gi := range s.front {
-		g := r.circ.Gate(gi)
+	for fi, h := range s.front {
+		g := r.gates[h]
 		if g.Kind != circuit.KindCX {
 			continue
 		}
@@ -345,7 +441,7 @@ func (r *router) tryBridge() bool {
 		if r.hop(pa, pb) != 2 {
 			continue
 		}
-		if r.pairRecurs(g.Q0, g.Q1) {
+		if r.pairRecurs(int32(g.Q0), int32(g.Q1)) {
 			continue
 		}
 		// Middle qubit on a shortest path: the first neighbour of pa
@@ -369,13 +465,8 @@ func (r *router) tryBridge() bool {
 		// already realized it on physical wires).
 		s.front = append(s.front[:fi], s.front[fi+1:]...)
 		r.frontGen++
-		r.done++
-		for _, succ := range r.dag.Successors(gi) {
-			s.inDeg[succ]--
-			if s.inDeg[succ] == 0 {
-				s.ready = append(s.ready, succ)
-			}
-		}
+		r.done2q++
+		r.retire(h)
 		return true
 	}
 	return false
@@ -385,13 +476,12 @@ func (r *router) tryBridge() bool {
 // among the extended-set gates. The extended set holds at most
 // ExtendedSetSize gates, so a linear scan beats building a set per
 // round (and allocates nothing).
-func (r *router) pairRecurs(a, b int) bool {
+func (r *router) pairRecurs(a, b int32) bool {
 	if a > b {
 		a, b = b, a
 	}
-	for _, gi := range r.s.extended {
-		g := r.circ.Gate(gi)
-		ga, gb := g.Q0, g.Q1
+	for _, h := range r.s.extended {
+		ga, gb := r.q2[2*h], r.q2[2*h+1]
 		if ga > gb {
 			ga, gb = gb, ga
 		}
@@ -407,6 +497,8 @@ func (r *router) pairRecurs(a, b int) bool {
 // further progress. It maintains the front layer F and bumps frontGen
 // whenever F's contents change (which invalidates the extended-set
 // cache).
+//
+//sabre:hotpath
 func (r *router) drain() {
 	s := r.s
 	changed := false
@@ -414,25 +506,25 @@ func (r *router) drain() {
 		progress := false
 		// Newly-ready gates: execute or park in the front layer.
 		for len(s.ready) > 0 {
-			g := s.ready[len(s.ready)-1]
+			h := s.ready[len(s.ready)-1]
 			s.ready = s.ready[:len(s.ready)-1]
-			if r.executable(g) {
-				r.execute(g)
+			if r.executable(h) {
+				r.execute(h)
 				progress = true
 			} else {
-				s.front = append(s.front, g)
+				s.front = append(s.front, h)
 				changed = true
 			}
 		}
 		// Front-layer gates that a SWAP (or an executed gate) unlocked.
 		keep := s.front[:0]
-		for _, g := range s.front {
-			if r.executable(g) {
-				r.execute(g)
+		for _, h := range s.front {
+			if r.executable(h) {
+				r.execute(h)
 				progress = true
 				changed = true
 			} else {
-				keep = append(keep, g)
+				keep = append(keep, h)
 			}
 		}
 		s.front = keep
@@ -445,33 +537,56 @@ func (r *router) drain() {
 	}
 }
 
-// executable reports whether gate g can run right now under the current
-// layout: single-qubit gates always can; two-qubit gates need their
-// physical qubits coupled.
-func (r *router) executable(g int) bool {
-	gate := r.circ.Gate(g)
-	if !gate.TwoQubit() {
+// executable reports whether gate h can run right now under the
+// current layout: single-qubit gates always can; two-qubit gates need
+// their physical qubits coupled.
+//
+//sabre:hotpath
+func (r *router) executable(h int) bool {
+	q0 := r.q2[2*h]
+	if q0 < 0 {
 		return true
 	}
-	return r.dev.Connected(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	return r.dev.Connected(r.layout.Phys(int(q0)), r.layout.Phys(int(r.q2[2*h+1])))
 }
 
-// execute emits gate g remapped to physical qubits, retires it in the
-// DAG and releases its successors.
-func (r *router) execute(g int) {
-	gate := r.circ.Gate(g)
-	r.s.out = append(r.s.out, gate.Remap(r.layout.Phys))
-	r.done++
-	if gate.TwoQubit() {
+// execute emits gate h remapped to physical qubits (Gate.Remap
+// inlined: a method value would escape) and retires it.
+//
+//sabre:hotpath
+func (r *router) execute(h int) {
+	g := r.gates[h]
+	g.Q0 = r.layout.Phys(g.Q0)
+	if g.TwoQubit() {
+		g.Q1 = r.layout.Phys(g.Q1)
 		// Paper §V: decay resets whenever a CNOT is executed.
 		r.resetDecay()
 		r.stall = 0
+		r.done2q++
 	}
-	for _, succ := range r.dag.Successors(g) {
-		r.s.inDeg[succ]--
-		if r.s.inDeg[succ] == 0 {
-			r.s.ready = append(r.s.ready, succ)
+	r.s.out = append(r.s.out, g)
+	r.retire(h)
+}
+
+// retire marks h executed and moves every successor whose last
+// unexecuted predecessor it was onto the ready list, in admission
+// order. A windowed store then recycles h's slot.
+//
+//sabre:hotpath
+func (r *router) retire(h int) {
+	r.done++
+	for k := 2 * h; k < 2*h+2; k++ {
+		succ := r.succ[k]
+		if succ < 0 {
+			break
 		}
+		r.inDeg[succ]--
+		if r.inDeg[succ] == 0 {
+			r.s.ready = append(r.s.ready, int(succ))
+		}
+	}
+	if r.win != nil {
+		r.win.deps.retire(h)
 	}
 }
 
@@ -508,7 +623,7 @@ func (r *router) scoreRound() arch.Edge {
 		r.stats.MaxFront = len(s.front)
 	}
 
-	mode := r.scoringMode()
+	mode := r.opts.Scoring
 	if mode == ScoringBitset {
 		// The bitset engine fuses winner selection into its scoring
 		// pass (same comparisons and RNG draws as selectBest, see
@@ -532,16 +647,6 @@ func (r *router) scoreRound() arch.Edge {
 		}
 	}
 	return r.selectBest()
-}
-
-// scoringMode resolves the effective scoring engine, honoring the
-// legacy ExhaustiveScoring flag even when toggled after construction
-// (white-box tests flip it on a live router).
-func (r *router) scoringMode() Scoring {
-	if r.opts.ExhaustiveScoring && r.opts.Scoring == ScoringBitset {
-		return ScoringExhaustive
-	}
-	return r.opts.Scoring
 }
 
 // selectBest scans the filled score buffer and returns the lowest-
@@ -624,12 +729,12 @@ func (r *router) candidate(i int) arch.Edge {
 }
 
 // ensureExtended refreshes r.s.extended — up to ExtendedSetSize
-// two-qubit gates that follow the front layer in the DAG (BFS order),
-// the heuristic's look-ahead window (§IV-D) — unless the cached set is
-// still valid. The set is a pure function of the front layer, so it is
-// recomputed only when frontGen moved; bridge probe and SWAP scoring
-// within one round, and consecutive non-executing rounds, all share
-// one computation.
+// two-qubit gates that follow the front layer in the dependency graph
+// (BFS order), the heuristic's look-ahead window (§IV-D) — unless the
+// cached set is still valid. The set is a pure function of the front
+// layer, so it is recomputed only when frontGen moved; bridge probe
+// and SWAP scoring within one round, and consecutive non-executing
+// rounds, all share one computation.
 //
 //sabre:hotpath
 func (r *router) ensureExtended() {
@@ -644,25 +749,30 @@ func (r *router) ensureExtended() {
 		return
 	}
 	limit := r.opts.ExtendedSetSize
-	// BFS from the front layer through the DAG. Decremented indegree
-	// bookkeeping is not needed for an estimate: we walk successors
-	// breadth-first and take the first `limit` two-qubit gates.
-	// Visited tracking is an epoch stamp per gate; the queue is a
+	// BFS from the front layer through the successor table.
+	// Decremented indegree bookkeeping is not needed for an estimate:
+	// we walk successors breadth-first and take the first `limit`
+	// two-qubit gates; the gate that hits the limit is not queued.
+	// Visited tracking is an epoch stamp per handle; the queue is a
 	// reused buffer walked by index (no pop-front copying).
 	epoch := s.nextGateEpoch()
 	queue := s.bfsQueue[:0]
 	queue = append(queue, s.front...)
-	for _, g := range queue {
-		s.gateMark[g] = epoch
+	for _, h := range queue {
+		s.gateMark[h] = epoch
 	}
 	for head := 0; head < len(queue) && len(s.extended) < limit; head++ {
-		g := queue[head]
-		for _, succ := range r.dag.Successors(g) {
+		h := queue[head]
+		for k := 2 * h; k < 2*h+2; k++ {
+			succ := int(r.succ[k])
+			if succ < 0 {
+				break
+			}
 			if s.gateMark[succ] == epoch {
 				continue
 			}
 			s.gateMark[succ] = epoch
-			if r.circ.Gate(succ).TwoQubit() {
+			if r.q2[2*succ] >= 0 {
 				s.extended = append(s.extended, succ)
 				if len(s.extended) >= limit {
 					break
@@ -711,14 +821,14 @@ func (r *router) resetDecay() {
 // the distance matrix (the same walk ShortestPath performs) without
 // materializing it.
 func (r *router) forceRoute() {
-	g := r.s.front[0]
-	for _, fg := range r.s.front {
-		if fg < g {
-			g = fg
+	h := r.s.front[0]
+	oldest := r.order(h)
+	for _, fh := range r.s.front[1:] {
+		if o := r.order(fh); o < oldest {
+			h, oldest = fh, o
 		}
 	}
-	gate := r.circ.Gate(g)
-	cur, pb := r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1)
+	cur, pb := r.layout.Phys(int(r.q2[2*h])), r.layout.Phys(int(r.q2[2*h+1]))
 	// Swap the control forward until adjacent to the target.
 	for r.hop(cur, pb) > 1 {
 		next := -1

@@ -138,12 +138,15 @@ func TestFrontDistanceSumEq1(t *testing.T) {
 func TestScoreSwapRestoresLayout(t *testing.T) {
 	for _, exhaustive := range []bool{false, true} {
 		r := newTestRouter(t)
-		r.opts.ExhaustiveScoring = exhaustive
+		score := r.scoreSwap
+		if exhaustive {
+			score = r.scoreSwapExhaustive
+		}
 		before := r.layout.Clone()
 		for _, h := range []Heuristic{HeuristicBasic, HeuristicLookahead, HeuristicDecay} {
 			r.opts.Heuristic = h
 			r.prepareRound()
-			_ = r.scoreSwap(arch.NewEdge(0, 3))
+			_ = score(arch.NewEdge(0, 3))
 			if !r.layout.Equal(before) {
 				t.Fatalf("%v (exhaustive=%v): scoreSwap mutated the layout", h, exhaustive)
 			}

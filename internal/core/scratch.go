@@ -23,8 +23,9 @@ import (
 // reads, so the buffer is all-zero (across its full capacity) between
 // rounds and needs no epoch at all.
 type Scratch struct {
-	// Traversal state, sized per pass.
-	inDeg []int          // working indegree copy, len = gate count
+	// Traversal state, sized per pass. front, ready, extended and
+	// bfsQueue hold handles (see depTables).
+	inDeg []int32        // materialized working indegrees, len = gate count
 	front []int          // front layer F
 	ready []int          // dependency-released, executability unchecked
 	out   []circuit.Gate // routed output accumulator
@@ -52,12 +53,12 @@ type Scratch struct {
 	// reservoir tie-break identical across engines.
 	scores []float64
 
-	// Extended-set BFS: gate epoch stamps replace the old visited map,
-	// bfsQueue the old throwaway queue slice. (Delta scoring needs no
-	// marks: its only shared gate, the one touching both swapped
-	// qubits, is deduplicated by a partner-qubit skip.)
+	// Extended-set BFS: per-handle epoch stamps replace a visited map,
+	// bfsQueue a throwaway queue slice. (Delta scoring needs no marks:
+	// its only shared gate, the one touching both swapped qubits, is
+	// deduplicated by a partner-qubit skip.)
 	extended  []int
-	gateMark  []int32 // len = gate count; BFS visited set
+	gateMark  []int32 // len = handle bound; BFS visited set
 	gateEpoch int32
 	bfsQueue  []int
 
@@ -83,16 +84,15 @@ type Scratch struct {
 	extOff  []int32 // len n+1
 	extPhys []int32
 
-	// stream owns the streaming router's window state (RouteStream).
-	// It replaces every gate-indexed buffer above with slot-arena
-	// variants sized by the live window, so a streaming traversal's
-	// memory is O(device + window) however long the gate stream runs.
+	// stream owns the windowed dependency store (RouteStream): a slot
+	// arena sized by the live window instead of gate-indexed tables, so
+	// a streaming traversal's memory is O(device + window) however
+	// long the gate stream runs.
 	stream streamScratch
 }
 
-// streamScratch is the streaming router's reusable state: the handle
-// stacks of the drain loop, the compact per-round scoring view, and
-// the slot arena that stands in for the materialized DAG.
+// streamScratch is the windowed store's reusable state: the slot
+// arena whose columns a streaming traversal reads as its depTables.
 //
 // The arena is a free-list slot store, not a FIFO ring: a slot is
 // recycled the moment its gate retires, so long-lived blocked gates
@@ -105,29 +105,13 @@ type Scratch struct {
 // (slotGid is set to -1 on free and to a fresh, strictly increasing
 // gid on reuse, so a stale tail can never alias a live slot).
 type streamScratch struct {
-	// Drain-loop state, holding slot handles (ring path) or gate
-	// indices (materialized oracle path).
-	front []int64
-	ready []int64 // LIFO stack, same discipline as router.drain
-	ext   []int64 // extended set of the current round
-	bfsQ  []int64 // lookahead BFS queue
-
-	// cq2 is the per-round compact qubit-pair table the embedded
-	// scoring round reads instead of the PassRunner's gate-indexed
-	// q2: entry i is the i-th front gate, entries after the front are
-	// the extended set, in BFS order.
-	cq2 []int32
-
 	// Slot arena, all indexed by slot id; slotQ2 and slotSucc hold two
-	// entries per slot. slotSucc[2s] is the slot depending on s
-	// through s's Q0 wire (-1 none), slotSucc[2s+1] through Q1.
+	// entries per slot, in the depTables layout.
 	slotGate  []circuit.Gate
 	slotGid   []int64 // admission gid, -1 = slot free
 	slotQ2    []int32
 	slotInDeg []int32
 	slotSucc  []int32
-	slotMark  []int32 // BFS visited stamps vs slotEpoch
-	slotEpoch int32
 	free      []int32 // free slot ids, popped from the tail
 
 	// Per-qubit dependency chain tails (device-sized).
@@ -135,10 +119,10 @@ type streamScratch struct {
 	chainTailGid  []int64
 }
 
-// resetStream readies the streaming state for one traversal on an
-// n-qubit device: chain tails cleared, every arena slot freed, drain
-// stacks truncated. Arena capacity is kept — a warm Scratch replays a
-// new stream without touching the allocator.
+// resetStream readies the arena for one traversal on an n-qubit
+// device: chain tails cleared, every slot freed. Arena capacity is
+// kept — a warm Scratch replays a new stream without touching the
+// allocator.
 func (z *streamScratch) resetStream(n int) {
 	if cap(z.chainTailSlot) < n {
 		z.chainTailSlot = make([]int32, n)
@@ -150,20 +134,12 @@ func (z *streamScratch) resetStream(n int) {
 		z.chainTailSlot[i] = -1
 		z.chainTailGid[i] = -1
 	}
-	z.front = z.front[:0]
-	z.ready = z.ready[:0]
-	z.ext = z.ext[:0]
-	z.bfsQ = z.bfsQ[:0]
 	z.free = z.free[:0]
 	for i := len(z.slotGid) - 1; i >= 0; i-- {
 		z.slotGate[i] = circuit.Gate{}
 		z.slotGid[i] = -1
 		z.free = append(z.free, int32(i))
 	}
-	for i := range z.slotMark {
-		z.slotMark[i] = 0
-	}
-	z.slotEpoch = 0
 }
 
 // growArena grows the slot arena to hold target slots, pushing the new
@@ -190,9 +166,6 @@ func (z *streamScratch) growArena(target int) {
 	slotSucc := make([]int32, 2*target)
 	copy(slotSucc, z.slotSucc)
 	z.slotSucc = slotSucc
-	slotMark := make([]int32, target)
-	copy(slotMark, z.slotMark)
-	z.slotMark = slotMark
 	for i := target - 1; i >= old; i-- {
 		z.slotGid[i] = -1
 		z.free = append(z.free, int32(i))
@@ -203,8 +176,8 @@ func (z *streamScratch) growArena(target int) {
 // whatever passes it serves and are then reused; keep one per worker.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// reset sizes the scratch for one traversal: n device qubits, gates
-// DAG nodes, edges coupling edges. Buffers are grown only when a
+// reset sizes the scratch for one traversal: n device qubits, handles
+// below gates, edges coupling edges. Buffers are grown only when a
 // larger circuit or device arrives; otherwise they are re-sliced.
 // Growing candWords allocates a zeroed buffer and shrinking merely
 // re-slices, so the all-zero-across-capacity invariant survives any
@@ -222,11 +195,7 @@ func (s *Scratch) reset(n, gates, edges int) {
 		s.candWords = make([]uint64, words)
 	}
 	s.candWords = s.candWords[:words]
-	if cap(s.gateMark) < gates {
-		s.gateMark = make([]int32, gates)
-		s.gateEpoch = 0
-	}
-	s.gateMark = s.gateMark[:gates]
+	s.sizeMarks(gates)
 	if len(s.qGates) < n {
 		old := s.qGates
 		s.qGates = make([][]int32, n)
@@ -250,6 +219,16 @@ func (s *Scratch) reset(n, gates, edges int) {
 	s.extended = s.extended[:0]
 	s.candIDs = s.candIDs[:0]
 	s.bfsQueue = s.bfsQueue[:0]
+}
+
+// sizeMarks makes gateMark cover handles below gates. A fresh buffer
+// is all zero, below every epoch, so the epoch restarts with it.
+func (s *Scratch) sizeMarks(gates int) {
+	if cap(s.gateMark) < gates {
+		s.gateMark = make([]int32, gates)
+		s.gateEpoch = 0
+	}
+	s.gateMark = s.gateMark[:gates]
 }
 
 // nextGateEpoch advances the gate epoch, wiping the marks on overflow.

@@ -16,37 +16,41 @@ import (
 // Streaming compilation: route an unbounded gate stream with memory
 // O(device + window), independent of circuit length.
 //
-// The materialized pipeline (Compile and friends) builds the whole
-// circuit and its DAG before the first SWAP is chosen, so peak memory
-// scales with gate count. But Algorithm 1 itself only ever consults a
-// bounded neighborhood of the execution frontier: the front layer F,
-// the extended set E, and the decay state — all device-sized. The
-// streaming mode below exploits that: gates are admitted from a
-// GateSource one at a time into a slot-arena window, dependencies are
-// tracked with per-qubit chains instead of a DAG, and routed gates
-// leave through a StreamSink in bounded chunks. The scoring round —
-// candidate collection, Eq. 1/Eq. 2 evaluation, decay, tie-break RNG —
-// is the exact bitset engine of the materialized path, fed through a
-// per-round compact view, so the streaming mode inherits every scoring
-// property (and its zero-alloc guarantee) without duplicating it.
+// A stream is Algorithm 1's forward traversal — the same router.step
+// loop PassRunner.Run drives — over a bounded admission window. The
+// materialized pass admits the whole circuit before its first drain;
+// a stream admits gates from a GateSource only as the loop needs them,
+// into a slot arena whose columns are the traversal's depTables, with
+// per-qubit chains instead of a DAG, and routed gates leave through a
+// StreamSink in bounded chunks. Algorithm 1 only ever consults a
+// bounded neighborhood of the execution frontier — the front layer F,
+// the extended set E and the decay state, all device-sized — so the
+// window is all it needs.
 //
-// Streaming semantics are pinned, deterministic, and intentionally
-// simpler than Compile's default search: one trial, one forward
-// traversal, seeded random initial layout (the layout trial 0 of
-// Compile would draw), bitset scoring. Multi-trial restart search is
-// meaningless when the input cannot be replayed. Consequently the
-// parity contract is between the two *streaming* paths: RouteStream
-// (windowed, O(window) memory) and RouteStreamMaterialized (same
-// pinned semantics executed over a fully materialized circuit and its
-// BuildDAG) emit byte-identical gate streams for every circuit, seed,
-// and worker count. The two implementations share no dependency
-// bookkeeping — slot arena + qubit chains vs. CSR DAG — which makes
-// each the independent oracle for the other, the same discipline the
-// scoring engines use (bitset vs. delta vs. exhaustive).
+// The admission point is the only difference from PassRunner.Run: the
+// same loop over the whole circuit admitted up front reproduces Run
+// gate for gate from the same layout and RNG
+// (TestWholeWindowIsForwardPass). It does change routing decisions,
+// because the extended set can only reach admitted gates. On 200k-gate
+// random traces (workloads.WriteRandomQASM: 20 qubits, half CNOTs,
+// seeds 1–3, Tokyo) the whole-circuit pass from the same layout added
+// 3.5–4.0% more gates than the default window (about 238k vs 230k), so
+// the window is not a quality compromise.
 //
-// Window admission policy (identical in both paths, so it is part of
-// the pinned semantics): after every drain the router tops the window
-// up until the lookahead beyond the front layer holds ExtendedSetSize
+// Semantics are pinned and deterministic: one trial, one forward
+// traversal, the seeded random initial layout trial 0 of Compile would
+// draw, the configured scoring engine. Multi-trial restart search is
+// meaningless when the input cannot be replayed, so a stream is not
+// comparable to Compile's output; its parity contract is with
+// RouteStreamMaterialized, which runs the same window over a fully
+// materialized circuit and its BuildDAG. The two dependency stores
+// share no admission bookkeeping — slot arena + qubit chains vs. CSR
+// DAG + done flags — which makes each the independent oracle for the
+// other.
+//
+// Window admission policy (identical for both stores, so it is part
+// of the pinned semantics): after every drain the window is topped up
+// until the lookahead beyond the front layer holds ExtendedSetSize
 // two-qubit gates — exactly what one scoring round can consume — or
 // StreamOptions.Lookahead gates are pending behind the front,
 // whichever comes first. The second bound caps the window on streams
@@ -150,49 +154,51 @@ type StreamResult struct {
 	Stats         StreamStats
 }
 
-// streamDeps is the dependency store behind the streaming router: the
-// windowed slot arena (ringDeps) or the materialized-DAG oracle
-// (flatDeps). Handles are slot ids or gate indices respectively; gid
-// is the admission sequence number, the tie-break order every
-// handle-ordering decision uses so both stores release and visit
-// gates identically.
-type streamDeps interface {
-	// admit enters g into the window and reports its handle and
-	// whether it is dependency-free.
-	admit(g circuit.Gate) (h int64, ready bool)
-	gate(h int64) circuit.Gate
-	// pair returns the logical qubit pair of a two-qubit gate, or
-	// (-1, -1) for single-qubit gates.
-	pair(h int64) (q0, q1 int32)
-	gid(h int64) int64
-	// finish retires h and returns the newly dependency-free
-	// successors in ascending gid order, -1-padded.
-	finish(h int64) (r0, r1 int64)
-	// succs returns h's admitted successors in ascending gid order,
-	// -1-padded, duplicates preserved (a successor sharing both
-	// qubits appears twice, mirroring BuildDAG's duplicate edges).
-	succs(h int64) (s0, s1 int64)
-	bfsReset()
-	bfsSeen(h int64) bool
+// windowDeps is the dependency store behind a windowed traversal: the
+// slot arena (ringDeps) or the materialized-DAG oracle (flatDeps). It
+// runs once per gate at admission and at retirement; every loop of the
+// traversal reads the depTables it maintains.
+type windowDeps interface {
+	// tables returns the store's current depTables.
+	tables() depTables
+	// admit enters g, links it behind its unexecuted predecessors, and
+	// returns its handle; g is ready when its indegree is 0. A store
+	// whose tables moved (arena growth) rewrites *t.
+	admit(g circuit.Gate, t *depTables) int
+	// retire releases h after the traversal executed it.
+	retire(h int)
 	maxLive() int
 	memBytes() int64
 }
 
 // ringDeps is the windowed dependency store: a free-list slot arena
-// plus per-qubit chain tails, all living in the streamScratch. See the
+// plus per-qubit chain tails, all living in the Scratch. See the
 // streamScratch doc for the recycling and stale-tail invariants.
 type ringDeps struct {
-	z       *streamScratch
+	s       *Scratch
 	nextGid int64
 	live    int
 	peak    int
 }
 
+// newRingDeps readies s's arena for a stream on an n-qubit device,
+// pre-sized to window slots.
+func newRingDeps(s *Scratch, n, window int) *ringDeps {
+	s.stream.growArena(window)
+	s.stream.resetStream(n)
+	return &ringDeps{s: s}
+}
+
+func (d *ringDeps) tables() depTables {
+	z := &d.s.stream
+	return depTables{gates: z.slotGate, q2: z.slotQ2, succ: z.slotSucc, inDeg: z.slotInDeg, gid: z.slotGid}
+}
+
 //sabre:hotpath
-func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
-	z := d.z
+func (d *ringDeps) admit(g circuit.Gate, t *depTables) int {
+	z := &d.s.stream
 	if len(z.free) == 0 {
-		d.grow()
+		d.grow(t)
 	}
 	s := z.free[len(z.free)-1]
 	z.free = z.free[:len(z.free)-1]
@@ -211,7 +217,6 @@ func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
 	z.slotInDeg[s] = 0
 	z.slotSucc[i2] = -1
 	z.slotSucc[i2+1] = -1
-	z.slotMark[s] = 0
 	d.link(g.Q0, s)
 	if g.TwoQubit() {
 		d.link(g.Q1, s)
@@ -226,150 +231,78 @@ func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
 	if d.live > d.peak {
 		d.peak = d.live
 	}
-	return int64(s), z.slotInDeg[s] == 0
+	return int(s)
 }
 
 // link adds the dependency edge chainTail[w] → s, if that tail is
 // still live (gid match; a recycled slot fails it and means the chain
-// head already executed).
+// head already executed). Successors fill the tail's two entries in
+// link order, which is admission order.
 //
 //sabre:hotpath
 func (d *ringDeps) link(w int, s int32) {
-	z := d.z
+	z := &d.s.stream
 	t := z.chainTailSlot[w]
 	if t < 0 || z.slotGid[t] != z.chainTailGid[w] {
 		return
 	}
 	z.slotInDeg[s]++
-	if int(z.slotGate[t].Q0) == w {
-		z.slotSucc[2*t] = s
-	} else {
-		z.slotSucc[2*t+1] = s
+	k := 2 * t
+	if z.slotSucc[k] >= 0 {
+		k++
 	}
+	z.slotSucc[k] = s
 }
 
-// grow doubles the arena. Amortized: once the window's high-water mark
-// is reached the free list never empties again.
-func (d *ringDeps) grow() {
-	target := 2 * len(d.z.slotGid)
+// grow doubles the arena and re-points t at the moved columns.
+// Amortized: once the window's high-water mark is reached the free
+// list never empties again.
+func (d *ringDeps) grow(t *depTables) {
+	target := 2 * len(d.s.stream.slotGid)
 	if target < 64 {
 		target = 64
 	}
-	d.z.growArena(target)
+	d.s.stream.growArena(target)
+	*t = d.tables()
 }
 
 //sabre:hotpath
-func (d *ringDeps) gate(h int64) circuit.Gate { return d.z.slotGate[h] }
-
-//sabre:hotpath
-func (d *ringDeps) pair(h int64) (int32, int32) {
-	i2 := 2 * int(h)
-	return d.z.slotQ2[i2], d.z.slotQ2[i2+1]
-}
-
-//sabre:hotpath
-func (d *ringDeps) gid(h int64) int64 { return d.z.slotGid[h] }
-
-//sabre:hotpath
-func (d *ringDeps) finish(h int64) (int64, int64) {
-	z := d.z
-	s := int32(h)
-	i2 := 2 * int(s)
-	a, b := z.slotSucc[i2], z.slotSucc[i2+1]
-	if a >= 0 && b >= 0 {
-		if z.slotGid[b] < z.slotGid[a] {
-			a, b = b, a
-		}
-	} else if a < 0 {
-		a, b = b, a
-	}
-	r0, r1 := int64(-1), int64(-1)
-	if a >= 0 {
-		z.slotInDeg[a]--
-		if z.slotInDeg[a] == 0 {
-			r0 = int64(a)
-		}
-	}
-	if b >= 0 {
-		z.slotInDeg[b]--
-		if z.slotInDeg[b] == 0 {
-			if r0 < 0 {
-				r0 = int64(b)
-			} else {
-				r1 = int64(b)
-			}
-		}
-	}
-	z.slotGate[s] = circuit.Gate{}
-	z.slotGid[s] = -1
-	z.free = append(z.free, s)
+func (d *ringDeps) retire(h int) {
+	z := &d.s.stream
+	z.slotGate[h] = circuit.Gate{}
+	z.slotGid[h] = -1
+	z.free = append(z.free, int32(h))
 	d.live--
-	return r0, r1
-}
-
-//sabre:hotpath
-func (d *ringDeps) succs(h int64) (int64, int64) {
-	z := d.z
-	i2 := 2 * int(h)
-	a, b := z.slotSucc[i2], z.slotSucc[i2+1]
-	if a >= 0 && b >= 0 {
-		if z.slotGid[b] < z.slotGid[a] {
-			a, b = b, a
-		}
-	} else if a < 0 {
-		a, b = b, a
-	}
-	return int64(a), int64(b)
-}
-
-func (d *ringDeps) bfsReset() {
-	z := d.z
-	z.slotEpoch++
-	if z.slotEpoch < 0 {
-		full := z.slotMark[:cap(z.slotMark)]
-		for i := range full {
-			full[i] = 0
-		}
-		z.slotEpoch = 1
-	}
-}
-
-//sabre:hotpath
-func (d *ringDeps) bfsSeen(h int64) bool {
-	z := d.z
-	if z.slotMark[h] == z.slotEpoch {
-		return true
-	}
-	z.slotMark[h] = z.slotEpoch
-	return false
 }
 
 func (d *ringDeps) maxLive() int { return d.peak }
 
+// memBytes is the windowed traversal's footprint: the arena, the chain
+// tails, and the handle-indexed traversal buffers.
 func (d *ringDeps) memBytes() int64 {
-	z := d.z
+	s := d.s
+	z := &s.stream
 	b := int64(cap(z.slotGate)) * int64(unsafe.Sizeof(circuit.Gate{}))
 	b += int64(cap(z.slotGid)+cap(z.chainTailGid)) * 8
-	b += int64(cap(z.slotQ2)+cap(z.slotInDeg)+cap(z.slotSucc)+cap(z.slotMark)+cap(z.free)+cap(z.chainTailSlot)) * 4
-	b += int64(cap(z.front)+cap(z.ready)+cap(z.ext)+cap(z.bfsQ)) * 8
-	b += int64(cap(z.cq2)) * 4
+	b += int64(cap(z.slotQ2)+cap(z.slotInDeg)+cap(z.slotSucc)+cap(z.free)+cap(z.chainTailSlot)) * 4
+	b += int64(cap(s.front)+cap(s.ready)+cap(s.extended)+cap(s.bfsQueue)) * 8
+	b += int64(cap(s.gateMark)) * 4
 	return b
 }
 
-// flatDeps is the materialized oracle: the same streamDeps contract
+// flatDeps is the materialized oracle: the windowed store's contract
 // served from a whole circuit and its BuildDAG. Admission is a cursor
-// walk in program order; a gate's working indegree counts only its
-// not-yet-executed predecessors at admission time, and successor
-// release is clipped to the admitted prefix — so release order and
-// readiness transitions match ringDeps decision for decision while the
-// bookkeeping shares nothing with it.
+// walk in program order that links a gate behind each DAG predecessor
+// not yet executed — so successor lists and readiness transitions
+// match ringDeps decision for decision while the bookkeeping shares
+// nothing with it.
 type flatDeps struct {
 	circ     *circuit.Circuit
 	dag      *circuit.DAG
+	q2       []int32
+	succ     []int32
 	inDeg    []int32
 	done     []bool
-	mark     []int32
-	epoch    int32
 	admitted int
 	live     int
 	peak     int
@@ -377,97 +310,48 @@ type flatDeps struct {
 
 func newFlatDeps(c *circuit.Circuit) *flatDeps {
 	g := c.NumGates()
-	return &flatDeps{
+	d := &flatDeps{
 		circ:  c,
 		dag:   circuit.BuildDAG(c),
+		q2:    pairTable(c),
+		succ:  make([]int32, 2*g),
 		inDeg: make([]int32, g),
 		done:  make([]bool, g),
-		mark:  make([]int32, g),
 	}
+	for i := range d.succ {
+		d.succ[i] = -1
+	}
+	return d
 }
 
-func (d *flatDeps) admit(circuit.Gate) (int64, bool) {
+func (d *flatDeps) tables() depTables {
+	return depTables{gates: d.circ.Gates(), q2: d.q2, succ: d.succ, inDeg: d.inDeg}
+}
+
+func (d *flatDeps) admit(circuit.Gate, *depTables) int {
 	h := d.admitted
 	d.admitted++
-	deg := int32(0)
 	for _, p := range d.dag.Predecessors(h) {
-		if !d.done[p] {
-			deg++
+		if d.done[p] {
+			continue
 		}
+		k := 2 * p
+		if d.succ[k] >= 0 {
+			k++
+		}
+		d.succ[k] = int32(h)
+		d.inDeg[h]++
 	}
-	d.inDeg[h] = deg
 	d.live++
 	if d.live > d.peak {
 		d.peak = d.live
 	}
-	return int64(h), deg == 0
+	return h
 }
 
-func (d *flatDeps) gate(h int64) circuit.Gate { return d.circ.Gate(int(h)) }
-
-func (d *flatDeps) pair(h int64) (int32, int32) {
-	g := d.circ.Gate(int(h))
-	if g.TwoQubit() {
-		return int32(g.Q0), int32(g.Q1)
-	}
-	return -1, -1
-}
-
-func (d *flatDeps) gid(h int64) int64 { return h }
-
-func (d *flatDeps) finish(h int64) (int64, int64) {
-	g := int(h)
-	d.done[g] = true
+func (d *flatDeps) retire(h int) {
+	d.done[h] = true
 	d.live--
-	r0, r1 := int64(-1), int64(-1)
-	for _, succ := range d.dag.Successors(g) {
-		if succ >= d.admitted {
-			break // ascending: the rest are unadmitted too
-		}
-		d.inDeg[succ]--
-		if d.inDeg[succ] == 0 {
-			if r0 < 0 {
-				r0 = int64(succ)
-			} else {
-				r1 = int64(succ)
-			}
-		}
-	}
-	return r0, r1
-}
-
-func (d *flatDeps) succs(h int64) (int64, int64) {
-	s0, s1 := int64(-1), int64(-1)
-	for _, succ := range d.dag.Successors(int(h)) {
-		if succ >= d.admitted {
-			break
-		}
-		if s0 < 0 {
-			s0 = int64(succ)
-		} else {
-			s1 = int64(succ)
-		}
-	}
-	return s0, s1
-}
-
-func (d *flatDeps) bfsReset() {
-	d.epoch++
-	if d.epoch < 0 {
-		full := d.mark[:cap(d.mark)]
-		for i := range full {
-			full[i] = 0
-		}
-		d.epoch = 1
-	}
-}
-
-func (d *flatDeps) bfsSeen(h int64) bool {
-	if d.mark[h] == d.epoch {
-		return true
-	}
-	d.mark[h] = d.epoch
-	return false
 }
 
 func (d *flatDeps) maxLive() int { return d.peak }
@@ -476,7 +360,7 @@ func (d *flatDeps) maxLive() int { return d.peak }
 // dominate — which is the point: the materialized path is O(gates) by
 // construction and makes no windowed-memory claim.
 func (d *flatDeps) memBytes() int64 {
-	return int64(cap(d.inDeg))*4 + int64(cap(d.done)) + int64(cap(d.mark))*4
+	return int64(cap(d.q2)+cap(d.succ)+cap(d.inDeg))*4 + int64(cap(d.done))
 }
 
 // circuitSource adapts an in-memory circuit to the GateSource shape.
@@ -498,244 +382,114 @@ func (cs *circuitSource) Next() (circuit.Gate, bool, error) {
 	return g, true, nil
 }
 
-// streamRouter drives one streaming traversal: the pinned drain /
-// admit / refill / score loop around an embedded materialized router
-// whose scoring round is fed through a per-round compact view.
-type streamRouter struct {
-	rt    *router
-	deps  streamDeps
-	src   GateSource
-	sink  StreamSink
-	z     *streamScratch
-	sopts StreamOptions
+// window is the admission side of a streaming traversal. The router
+// runs Algorithm 1's loop unchanged; after each drain the window
+// admits gates from the source until the lookahead beyond the front
+// layer is full (fill), and hands routed gates to the sink in chunks.
+type window struct {
+	src       GateSource
+	sink      StreamSink
+	deps      windowDeps
+	lookahead int // StreamOptions.Lookahead
+	chunk     int // StreamOptions.ChunkGates
 
-	eof     bool
-	aborted bool
-	err     error
+	eof bool
+	err error
 
-	admitted int64
-	executed int64
-	emitted  int64
-	unexec2q int // admitted, unexecuted two-qubit gates
-	chunks   int
-	maxFront int
-
-	// viewGen is the front generation the compact scoring view was
-	// built for; the view is a pure function of the front layer plus
-	// the admitted window, and the window only changes alongside a
-	// frontGen bump (refill runs admissions through drain).
-	viewGen  int
-	maxStall int
+	admitted   int64
+	admitted2q int
+	emitted    int64
+	chunks     int
+	maxFront   int
 }
 
-// newStreamRouter wires a traversal: the embedded router gets no
-// circuit or DAG (the deps store replaces both), gates=0 scratch
-// sizing, and scoring pinned to the bitset engine, whose round state
-// is all device-sized and reads gates only through r.q2 — which the
-// compact view swaps out per round.
-func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, deps streamDeps, src GateSource, sink StreamSink, s *Scratch, cancelled <-chan struct{}) *streamRouter {
-	n := dev.NumQubits()
-	s.reset(n, 0, len(dev.Edges()))
-	s.stream.resetStream(n)
+// newWindowedRouter sets up a streaming traversal of src on dev: the
+// seeded random initial layout, deps' tables, and the window.
+func newWindowedRouter(src GateSource, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink, s *Scratch, deps windowDeps, cancelled <-chan struct{}) *router {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	layout := mapping.Random(n, rng)
-	rt := &router{
-		dev:       dev,
-		n:         n,
-		opts:      opts,
-		rng:       rng,
-		layout:    layout,
-		s:         s,
-		dist:      dev.Distances(),
-		ends:      dev.EdgeEndpoints(),
-		inc:       dev.IncidentEdgeWords(),
-		incW:      dev.EdgeWords(),
-		extGen:    -1,
-		idxGen:    -1,
-		cancelled: cancelled,
-	}
+	layout := mapping.Random(dev.NumQubits(), rng)
+	var wdist []float64
 	if opts.Noise != nil {
-		rt.wdist = dev.WeightedDistancesFor(opts.Noise)
+		wdist = dev.WeightedDistancesFor(opts.Noise)
 	}
-	maxStall := opts.MaxStall
-	if maxStall <= 0 {
-		maxStall = 4*dev.Diameter() + 16
-	}
-	return &streamRouter{
-		rt:       rt,
-		deps:     deps,
-		src:      src,
-		sink:     sink,
-		z:        &s.stream,
-		sopts:    sopts,
-		viewGen:  -1,
-		maxStall: maxStall,
-	}
+	t := deps.tables()
+	r := newRouter(dev, opts, wdist, layout, rng, s, len(t.gates), cancelled)
+	r.depTables = t
+	r.win = &window{src: src, sink: sink, deps: deps, lookahead: sopts.Lookahead, chunk: sopts.ChunkGates}
+	return r
 }
 
-// step runs one iteration of the streaming loop — drain, admit until
-// the front is non-empty, top up the lookahead, then resolve one
-// blocked round (forced route, bridge, or SWAP). Returns true when the
-// traversal is over: clean EOF, error, or cancellation.
+// fill runs after each drain: flush a full chunk, admit gates one at
+// a time (draining after each) until the front layer is non-empty,
+// then top the window up. Returns true when the traversal is over:
+// the source ended and every admitted gate executed, the source, a
+// gate or the sink failed, or the context was cancelled.
 //
 //sabre:hotpath
-func (sr *streamRouter) step() bool {
-	sr.drain()
-	sr.maybeFlush()
-	for len(sr.z.front) == 0 {
-		if sr.err != nil || sr.eof {
+func (w *window) fill(r *router) bool {
+	r.maybeFlush()
+	for len(r.s.front) == 0 {
+		if w.err != nil || w.eof {
 			return true
 		}
 		select {
-		case <-sr.rt.cancelled:
-			sr.aborted = true
+		case <-r.cancelled:
+			r.aborted = true
 			return true
 		default:
 		}
-		sr.admitOne()
-		sr.drain()
-		sr.maybeFlush()
+		w.admitOne(r)
+		r.drain()
+		r.maybeFlush()
 	}
-	sr.refill()
-	if sr.err != nil {
+	w.refill(r)
+	if w.err != nil {
 		return true
 	}
-	if mf := len(sr.z.front); mf > sr.maxFront {
-		sr.maxFront = mf
+	if mf := len(r.s.front); mf > w.maxFront {
+		w.maxFront = mf
 	}
-	select {
-	case <-sr.rt.cancelled:
-		sr.aborted = true
-		return true
-	default:
-	}
-	rt := sr.rt
-	if rt.stall >= sr.maxStall {
-		sr.forceRouteStream()
-		return false
-	}
-	sr.buildView()
-	if rt.opts.UseBridge && sr.tryBridgeStream() {
-		sr.maybeFlush()
-		return false
-	}
-	rt.applySwap(rt.scoreRound())
-	sr.maybeFlush()
 	return false
-}
-
-// drain mirrors router.drain over handles: execute every ready or
-// front gate whose physical qubits are coupled, to fixpoint, bumping
-// frontGen when the front layer's contents changed.
-//
-//sabre:hotpath
-func (sr *streamRouter) drain() {
-	z := sr.z
-	changed := false
-	for {
-		progress := false
-		for len(z.ready) > 0 {
-			h := z.ready[len(z.ready)-1]
-			z.ready = z.ready[:len(z.ready)-1]
-			if sr.executable(h) {
-				sr.execute(h)
-				progress = true
-			} else {
-				z.front = append(z.front, h)
-				changed = true
-			}
-		}
-		keep := z.front[:0]
-		for _, h := range z.front {
-			if sr.executable(h) {
-				sr.execute(h)
-				progress = true
-				changed = true
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		z.front = keep
-		if !progress {
-			if changed {
-				sr.rt.frontGen++
-			}
-			return
-		}
-	}
-}
-
-//sabre:hotpath
-func (sr *streamRouter) executable(h int64) bool {
-	q0, q1 := sr.deps.pair(h)
-	if q0 < 0 {
-		return true
-	}
-	rt := sr.rt
-	return rt.dev.Connected(rt.layout.Phys(int(q0)), rt.layout.Phys(int(q1)))
-}
-
-// execute emits h remapped to physical qubits (Remap inlined: a method
-// value would escape) and releases its successors.
-//
-//sabre:hotpath
-func (sr *streamRouter) execute(h int64) {
-	rt := sr.rt
-	g := sr.deps.gate(h)
-	g.Q0 = rt.layout.Phys(g.Q0)
-	if g.TwoQubit() {
-		g.Q1 = rt.layout.Phys(g.Q1)
-		rt.resetDecay()
-		rt.stall = 0
-		sr.unexec2q--
-	}
-	rt.s.out = append(rt.s.out, g)
-	sr.executed++
-	r0, r1 := sr.deps.finish(h)
-	z := sr.z
-	if r0 >= 0 {
-		z.ready = append(z.ready, r0)
-	}
-	if r1 >= 0 {
-		z.ready = append(z.ready, r1)
-	}
 }
 
 // admitOne pulls, validates and admits the next source gate; on EOF or
 // error it latches eof so the loop can wind down.
 //
 //sabre:hotpath
-func (sr *streamRouter) admitOne() {
-	g, ok, err := sr.src.Next()
+func (w *window) admitOne(r *router) {
+	g, ok, err := w.src.Next()
 	if err != nil {
-		sr.err = err
-		sr.eof = true
+		w.err = err
+		w.eof = true
 		return
 	}
 	if !ok {
-		sr.eof = true
+		w.eof = true
 		return
 	}
-	n := sr.rt.n
+	n := r.n
 	if g.Q0 < 0 || g.Q0 >= n || (g.TwoQubit() && (g.Q1 < 0 || g.Q1 >= n || g.Q1 == g.Q0)) {
-		sr.failGate(g)
+		w.failGate(g, n)
 		return
 	}
-	h, ready := sr.deps.admit(g)
-	sr.admitted++
-	if g.TwoQubit() {
-		sr.unexec2q++
+	h := w.deps.admit(g, &r.depTables)
+	if h >= len(r.s.gateMark) {
+		r.s.sizeMarks(len(r.gates))
 	}
-	if ready {
-		sr.z.ready = append(sr.z.ready, h)
+	w.admitted++
+	if g.TwoQubit() {
+		w.admitted2q++
+	}
+	if r.inDeg[h] == 0 {
+		r.s.ready = append(r.s.ready, h)
 	}
 }
 
 // failGate records a validation error (out of hotpath: fmt allocates).
-func (sr *streamRouter) failGate(g circuit.Gate) {
-	sr.err = fmt.Errorf("core: stream gate %d (%v) targets a qubit outside the %d-qubit device (or repeats one)",
-		sr.admitted, g.Kind, sr.rt.n)
-	sr.eof = true
+func (w *window) failGate(g circuit.Gate, n int) {
+	w.err = fmt.Errorf("core: stream gate %d (%v) targets a qubit outside the %d-qubit device (or repeats one)",
+		w.admitted, g.Kind, n)
+	w.eof = true
 }
 
 // refill tops the window up after a drain: admit until the lookahead
@@ -745,264 +499,60 @@ func (sr *streamRouter) failGate(g circuit.Gate) {
 // identical admission points.
 //
 //sabre:hotpath
-func (sr *streamRouter) refill() {
-	target := sr.rt.opts.ExtendedSetSize
-	lookahead := int64(sr.sopts.Lookahead)
-	for !sr.eof && sr.err == nil {
-		if sr.unexec2q-len(sr.z.front) >= target {
+func (w *window) refill(r *router) {
+	target := r.opts.ExtendedSetSize
+	lookahead := int64(w.lookahead)
+	for !w.eof && w.err == nil {
+		if w.admitted2q-r.done2q-len(r.s.front) >= target {
 			return
 		}
-		if sr.admitted-sr.executed-int64(len(sr.z.front)) >= lookahead {
+		if w.admitted-int64(r.done)-int64(len(r.s.front)) >= lookahead {
 			return
 		}
-		sr.admitOne()
-		sr.drain()
-		sr.maybeFlush()
+		w.admitOne(r)
+		r.drain()
+		r.maybeFlush()
 	}
 }
 
-// buildView refreshes the embedded router's per-round compact scoring
-// view: front gates become indices 0..|F| and extended gates
-// |F|..|F|+|E| into a dense qubit-pair table that stands in for the
-// materialized q2. extGen is stamped so ensureExtended (which would
-// walk the absent DAG) serves the view from cache; the idxGen half of
-// the bitset round index stays coherent because the view only changes
-// alongside frontGen.
+// maybeFlush hands the output buffer of a windowed traversal to the
+// sink once a chunk's worth of gates accumulated.
 //
 //sabre:hotpath
-func (sr *streamRouter) buildView() {
-	rt := sr.rt
-	if sr.viewGen == rt.frontGen {
+func (r *router) maybeFlush() {
+	if w := r.win; w != nil && len(r.s.out) >= w.chunk {
+		w.flush(r)
+	}
+}
+
+func (w *window) flush(r *router) {
+	out := r.s.out
+	if len(out) == 0 || w.err != nil {
 		return
 	}
-	sr.viewGen = rt.frontGen
-	sr.extendBFS()
-	z := sr.z
-	nf := len(z.front)
-	need := 2 * (nf + len(z.ext))
-	if cap(z.cq2) < need {
-		z.cq2 = make([]int32, need) //sabre:alloc-ok amortized: grows to the high-water front+extended size, then reused
-	}
-	z.cq2 = z.cq2[:need]
-	s := rt.s
-	s.front = s.front[:0]
-	for i, h := range z.front {
-		q0, q1 := sr.deps.pair(h)
-		z.cq2[2*i] = q0
-		z.cq2[2*i+1] = q1
-		s.front = append(s.front, i)
-	}
-	s.extended = s.extended[:0]
-	for j, h := range z.ext {
-		k := nf + j
-		q0, q1 := sr.deps.pair(h)
-		z.cq2[2*k] = q0
-		z.cq2[2*k+1] = q1
-		s.extended = append(s.extended, k)
-	}
-	rt.q2 = z.cq2
-	rt.extGen = rt.frontGen
-	rt.stats.ExtendedRebuilds++
-}
-
-// extendBFS recomputes the extended set over the admitted window,
-// mirroring router.ensureExtended's walk exactly: breadth-first from
-// the front layer, first ExtendedSetSize two-qubit gates, and the gate
-// that hits the limit is not queued.
-//
-//sabre:hotpath
-func (sr *streamRouter) extendBFS() {
-	z := sr.z
-	z.ext = z.ext[:0]
-	rt := sr.rt
-	if rt.opts.Heuristic == HeuristicBasic {
+	if err := w.sink.Emit(out); err != nil {
+		w.err = err
+		w.eof = true
 		return
 	}
-	limit := rt.opts.ExtendedSetSize
-	sr.deps.bfsReset()
-	q := z.bfsQ[:0]
-	for _, h := range z.front {
-		sr.deps.bfsSeen(h)
-		q = append(q, h)
-	}
-	for head := 0; head < len(q) && len(z.ext) < limit; head++ {
-		s0, s1 := sr.deps.succs(q[head])
-		full := false
-		for k := 0; k < 2; k++ {
-			h := s0
-			if k == 1 {
-				h = s1
-			}
-			if h < 0 || sr.deps.bfsSeen(h) {
-				continue
-			}
-			if p0, _ := sr.deps.pair(h); p0 >= 0 {
-				z.ext = append(z.ext, h)
-				if len(z.ext) >= limit {
-					full = true
-					break
-				}
-			}
-			q = append(q, h)
-		}
-		if full {
-			break
-		}
-	}
-	z.bfsQ = q
+	w.emitted += int64(len(out))
+	w.chunks++
+	r.s.out = out[:0]
 }
 
-// forceRouteStream is router.forceRoute over handles: walk the
-// oldest front gate's control to its target along a shortest path.
-func (sr *streamRouter) forceRouteStream() {
-	z := sr.z
-	best := z.front[0]
-	bg := sr.deps.gid(best)
-	for _, h := range z.front[1:] {
-		if g := sr.deps.gid(h); g < bg {
-			best, bg = h, g
-		}
-	}
-	q0, q1 := sr.deps.pair(best)
-	rt := sr.rt
-	cur, pb := rt.layout.Phys(int(q0)), rt.layout.Phys(int(q1))
-	for rt.hop(cur, pb) > 1 {
-		next := -1
-		for _, nb := range rt.dev.Neighbors(cur) {
-			if rt.hop(nb, pb) == rt.hop(cur, pb)-1 {
-				next = nb
-				break
-			}
-		}
-		rt.applySwap(arch.NewEdge(cur, next))
-		cur = next
-	}
-	rt.stall = 0
-	rt.stats.ForcedRoutes++
-}
-
-// tryBridgeStream is router.tryBridge over handles; buildView has run,
-// so z.ext is the current round's extended set.
-func (sr *streamRouter) tryBridgeStream() bool {
-	rt := sr.rt
-	z := sr.z
-	for fi, h := range z.front {
-		g := sr.deps.gate(h)
-		if g.Kind != circuit.KindCX {
-			continue
-		}
-		pa, pb := rt.layout.Phys(g.Q0), rt.layout.Phys(g.Q1)
-		if rt.hop(pa, pb) != 2 {
-			continue
-		}
-		if sr.pairRecursStream(g.Q0, g.Q1) {
-			continue
-		}
-		m := -1
-		for _, nb := range rt.dev.Neighbors(pa) {
-			if rt.hop(nb, pb) == 1 {
-				m = nb
-				break
-			}
-		}
-		rt.s.out = append(rt.s.out,
-			circuit.CX(pa, m), circuit.CX(m, pb),
-			circuit.CX(pa, m), circuit.CX(m, pb),
-		)
-		rt.bridges++
-		rt.stall = 0
-		rt.resetDecay()
-		z.front = append(z.front[:fi], z.front[fi+1:]...)
-		rt.frontGen++
-		sr.executed++
-		sr.unexec2q--
-		r0, r1 := sr.deps.finish(h)
-		if r0 >= 0 {
-			z.ready = append(z.ready, r0)
-		}
-		if r1 >= 0 {
-			z.ready = append(z.ready, r1)
-		}
-		return true
-	}
-	return false
-}
-
-// pairRecursStream reports whether the unordered logical pair recurs
-// in the extended set (bridge profitability test).
-func (sr *streamRouter) pairRecursStream(a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for _, h := range sr.z.ext {
-		q0, q1 := sr.deps.pair(h)
-		ga, gb := int(q0), int(q1)
-		if ga > gb {
-			ga, gb = gb, ga
-		}
-		if ga == a && gb == b {
-			return true
-		}
-	}
-	return false
-}
-
-// maybeFlush hands the output buffer to the sink once a chunk's worth
-// of gates accumulated.
-//
-//sabre:hotpath
-func (sr *streamRouter) maybeFlush() {
-	if len(sr.rt.s.out) >= sr.sopts.ChunkGates {
-		sr.flushChunk()
-	}
-}
-
-func (sr *streamRouter) flushChunk() {
-	out := sr.rt.s.out
-	if len(out) == 0 || sr.err != nil {
-		return
-	}
-	if err := sr.sink.Emit(out); err != nil {
-		sr.err = err
-		sr.eof = true
-		return
-	}
-	sr.emitted += int64(len(out))
-	sr.chunks++
-	sr.rt.s.out = out[:0]
-}
-
-// run drives step to completion and flushes the tail chunk.
-func (sr *streamRouter) run(ctx context.Context) error {
-	for !sr.step() {
-	}
-	if sr.err != nil {
-		return sr.err
-	}
-	if sr.aborted {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return context.Canceled
-	}
-	sr.flushChunk()
-	return sr.err
-}
-
-func (sr *streamRouter) result(elapsed time.Duration, init mapping.Layout) *StreamResult {
-	rt := sr.rt
+func (w *window) result(r *router, elapsed time.Duration, init mapping.Layout) *StreamResult {
 	stats := StreamStats{
-		GatesIn:      sr.admitted,
-		GatesOut:     sr.emitted,
-		SwapCount:    rt.swaps,
-		BridgeCount:  rt.bridges,
-		AddedGates:   3 * (rt.swaps + rt.bridges),
-		SwapRounds:   rt.stats.SwapRounds,
-		ForcedRoutes: rt.stats.ForcedRoutes,
-		MaxFront:     sr.maxFront,
-		MaxWindow:    sr.deps.maxLive(),
-		WindowBytes:  sr.deps.memBytes(),
-		Chunks:       sr.chunks,
+		GatesIn:      w.admitted,
+		GatesOut:     w.emitted,
+		SwapCount:    r.swaps,
+		BridgeCount:  r.bridges,
+		AddedGates:   3 * (r.swaps + r.bridges),
+		SwapRounds:   r.stats.SwapRounds,
+		ForcedRoutes: r.stats.ForcedRoutes,
+		MaxFront:     w.maxFront,
+		MaxWindow:    w.deps.maxLive(),
+		WindowBytes:  w.deps.memBytes(),
+		Chunks:       w.chunks,
 		Elapsed:      elapsed,
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
@@ -1010,28 +560,18 @@ func (sr *streamRouter) result(elapsed time.Duration, init mapping.Layout) *Stre
 	}
 	return &StreamResult{
 		InitialLayout: init.LogicalToPhysical(),
-		FinalLayout:   rt.layout.LogicalToPhysical(),
-		NumQubits:     rt.n,
+		FinalLayout:   r.layout.LogicalToPhysical(),
+		NumQubits:     r.n,
 		Stats:         stats,
 	}
-}
-
-// pinStreamOptions normalizes opts and pins the streaming-incompatible
-// knobs: bitset scoring (the delta and exhaustive oracles read the
-// materialized circuit) and no legacy exhaustive override.
-func pinStreamOptions(opts Options) Options {
-	opts = opts.normalized()
-	opts.Scoring = ScoringBitset
-	opts.ExhaustiveScoring = false
-	return opts
 }
 
 // RouteStream routes the gate stream src onto dev and emits the routed
 // physical gates through sink in chunks, holding only a bounded window
 // of the stream in memory: steady state is O(device + window) however
 // long the stream runs. Semantics are the pinned streaming traversal
-// (single trial, seeded random initial layout, bitset scoring); output
-// is deterministic in (stream, dev, opts, sopts.Lookahead) and
+// (single trial, one forward pass, seeded random initial layout);
+// output is deterministic in (stream, dev, opts, sopts.Lookahead) and
 // byte-identical to RouteStreamMaterialized on the same input. A nil
 // scratch allocates a private one; passing a warm per-worker Scratch
 // makes repeated streams allocation-free outside arena high-water
@@ -1051,22 +591,22 @@ func RouteStream(ctx context.Context, src GateSource, dev *arch.Device, opts Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = pinStreamOptions(opts)
+	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
 	sopts = sopts.normalized()
 	if s == nil {
 		s = NewScratch()
 	}
-	deps := &ringDeps{z: &s.stream}
+	deps := newRingDeps(s, dev.NumQubits(), sopts.Window)
 	return routeStream(ctx, src, dev, opts, sopts, sink, s, deps)
 }
 
 // RouteStreamMaterialized runs the identical pinned streaming
 // semantics over a fully materialized circuit and its dependency DAG.
-// It is the independent oracle for RouteStream — same traversal, zero
-// shared dependency bookkeeping — and the reference the golden parity
-// suite holds the windowed path to. Memory is O(gates); use
-// RouteStream for anything large.
+// It is the independent oracle for RouteStream — same traversal and
+// admission window, no shared dependency bookkeeping — and the
+// reference the golden parity suite holds the windowed path to. Memory
+// is O(gates); use RouteStream for anything large.
 func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink) (*StreamResult, error) {
 	if circ == nil {
 		return nil, errors.New("core: RouteStreamMaterialized needs a circuit")
@@ -1080,7 +620,7 @@ func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *ar
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = pinStreamOptions(opts)
+	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
 	if circ.NumQubits() > dev.NumQubits() {
 		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
@@ -1090,16 +630,27 @@ func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *ar
 	return routeStream(ctx, NewCircuitSource(circ), dev, opts, sopts, sink, NewScratch(), newFlatDeps(circ))
 }
 
-func routeStream(ctx context.Context, src GateSource, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink, s *Scratch, deps streamDeps) (*StreamResult, error) {
+func routeStream(ctx context.Context, src GateSource, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink, s *Scratch, deps windowDeps) (*StreamResult, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
-	s.stream.growArena(sopts.Window)
-	sr := newStreamRouter(dev, opts, sopts, deps, src, sink, s, ctx.Done())
-	init := sr.rt.layout.Clone()
-	if err := sr.run(ctx); err != nil {
-		return nil, err
+	r := newWindowedRouter(src, dev, opts, sopts, sink, s, deps, ctx.Done())
+	init := r.layout.Clone()
+	r.run()
+	w := r.win
+	if w.err != nil {
+		return nil, w.err
 	}
-	return sr.result(time.Since(start), init), nil
+	if r.aborted {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, context.Canceled
+	}
+	w.flush(r)
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.result(r, time.Since(start), init), nil
 }
 
 // StreamProbe pins a warm streaming router mid-flight over an endless
@@ -1110,7 +661,7 @@ func routeStream(ctx context.Context, src GateSource, dev *arch.Device, opts Opt
 // bridge, or SWAP round) against a no-op sink; after the warmup in
 // NewStreamProbe it performs zero heap allocations.
 type StreamProbe struct {
-	sr *streamRouter
+	r *router
 }
 
 // cycleSource yields a fixed gate sequence forever.
@@ -1149,19 +700,18 @@ func NewStreamProbe() *StreamProbe {
 		}
 		gates = append(gates, circuit.CX(a, b))
 	}
-	opts := pinStreamOptions(DefaultOptions())
+	opts := DefaultOptions().normalized()
 	sopts := DefaultStreamOptions().normalized()
 	s := NewScratch()
-	s.stream.growArena(sopts.Window)
-	deps := &ringDeps{z: &s.stream}
-	sr := newStreamRouter(dev, opts, sopts, deps, &cycleSource{gates: gates}, discardSink{}, s, nil)
+	deps := newRingDeps(s, n, sopts.Window)
+	r := newWindowedRouter(&cycleSource{gates: gates}, dev, opts, sopts, discardSink{}, s, deps, nil)
 	for i := 0; i < 4096; i++ {
-		sr.step()
+		r.step()
 	}
-	return &StreamProbe{sr: sr}
+	return &StreamProbe{r: r}
 }
 
 // Step runs one steady-state streaming loop iteration.
 func (p *StreamProbe) Step() {
-	p.sr.step()
+	p.r.step()
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/mapping"
 )
 
 // sameGate is structural gate equality (the comparison Circuit.Equal
@@ -139,6 +140,50 @@ func TestStreamParityWithNoise(t *testing.T) {
 	noise := arch.UniformNoise(0.01)
 	circ := randomStreamCircuit(t, dev.NumQubits(), 2000, 11)
 	assertStreamParity(t, "noise", circ, dev, Options{Seed: 11, Noise: noise}, StreamOptions{})
+}
+
+// TestWholeWindowIsForwardPass pins the claim the streaming design
+// rests on: a windowed traversal differs from PassRunner.Run only in
+// when gates are admitted. Admitting the whole circuit before the
+// first drain reproduces Run gate for gate from the same seeded layout
+// and RNG, through either dependency store.
+func TestWholeWindowIsForwardPass(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	n := dev.NumQubits()
+	circ := randomStreamCircuit(t, n, 3000, 51)
+	for _, opts := range []Options{
+		{Seed: 51},
+		{Seed: 52, UseBridge: true},
+		{Seed: 53, Heuristic: HeuristicLookahead, Scoring: ScoringExhaustive},
+		{Seed: 54, Noise: arch.UniformNoise(0.01)},
+	} {
+		opts = opts.normalized()
+		rng := rand.New(rand.NewSource(opts.Seed))
+		want := NewPassRunner(circ, dev, opts).Run(mapping.Random(n, rng), rng, nil)
+		for _, store := range []string{"ring", "flat"} {
+			s := NewScratch()
+			var deps windowDeps = newFlatDeps(circ)
+			if store == "ring" {
+				deps = newRingDeps(s, n, 64)
+			}
+			sink := &collectSink{}
+			r := newWindowedRouter(NewCircuitSource(circ), dev, opts, DefaultStreamOptions().normalized(), sink, s, deps, nil)
+			for !r.win.eof {
+				r.win.admitOne(r)
+			}
+			if !r.run() || r.win.err != nil {
+				t.Fatalf("seed %d/%s: traversal failed: %v", opts.Seed, store, r.win.err)
+			}
+			r.win.flush(r)
+			got := circuit.New(n)
+			got.Append(sink.gates...)
+			if !got.Equal(want.Circuit) || !r.layout.Equal(want.FinalLayout) ||
+				r.swaps != want.SwapCount || r.bridges != want.BridgeCount {
+				t.Fatalf("seed %d/%s: whole-window traversal differs from PassRunner.Run (%d vs %d gates, %d vs %d swaps)",
+					opts.Seed, store, len(sink.gates), want.Circuit.NumGates(), r.swaps, want.SwapCount)
+			}
+		}
+	}
 }
 
 // TestStreamOutputInvariants: tuning knobs that must not change the

@@ -2,6 +2,7 @@ package jobqueue
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -185,6 +186,75 @@ func TestReplayOnBoot(t *testing.T) {
 		t.Fatalf("post-recovery ID %q, want seq 5 (log ended at 4)", snap.ID)
 	}
 	waitState(t, q, snap.ID, StateDone)
+}
+
+// legacyExhaustivePayload is a job record as older daemons wrote it
+// when Options.ExhaustiveScoring was set: the legacy bool in the
+// options object, the scoring field as given.
+func legacyExhaustivePayload(t *testing.T, req Request) []byte {
+	t.Helper()
+	var rec map[string]any
+	if err := json.Unmarshal(mustPayload(t, req), &rec); err != nil {
+		t.Fatal(err)
+	}
+	opts, _ := rec["options"].(map[string]any)
+	if opts == nil {
+		opts = map[string]any{}
+		rec["options"] = opts
+	}
+	opts["exhaustive_scoring"] = true
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestReplayLegacyExhaustiveScoring replays a log written before
+// Options.ExhaustiveScoring was folded into Options.Scoring: the old
+// flag decodes as ScoringExhaustive (an explicit non-default Scoring
+// still wins, as it did), re-encoding no longer writes it, and the
+// replayed job routes exactly like a fresh exhaustive-scoring job.
+func TestReplayLegacyExhaustiveScoring(t *testing.T) {
+	legacy := legacyExhaustivePayload(t, durableReq("legacy"))
+	dec, err := decodeRequest(legacy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Job.Options.Scoring; got != core.ScoringExhaustive {
+		t.Fatalf("legacy exhaustive_scoring decoded as %v, want exhaustive", got)
+	}
+	if again := mustPayload(t, dec); strings.Contains(string(again), "exhaustive_scoring") {
+		t.Fatalf("re-encoded record still writes the legacy field: %s", again)
+	}
+	delta := durableReq("legacy-delta")
+	delta.Job.Options.Scoring = core.ScoringDelta
+	dec, err = decodeRequest(legacyExhaustivePayload(t, delta), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Job.Options.Scoring; got != core.ScoringDelta {
+		t.Fatalf("explicit delta scoring lost to the legacy flag: %v", got)
+	}
+
+	dir := t.TempDir()
+	synthCrashLog(t, dir, []joblog.Record{
+		{Kind: joblog.KindAccepted, Seq: 1, Time: 100, ID: "job-legacy-1", Payload: legacy},
+	})
+	q, eng := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
+	if st := q.Stats(); st.Recovery == nil || st.Recovery.Replayed != 1 || st.Recovery.Dropped != 0 {
+		t.Fatalf("recovery = %+v", st.Recovery)
+	}
+	snap := waitState(t, q, "job-legacy-1", StateDone)
+	job := durableReq("legacy").Job
+	job.Options.Scoring = core.ScoringExhaustive
+	fresh := <-eng.SubmitContext(context.Background(), job)
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	if qasm.Format(snap.Result.Final) != qasm.Format(fresh.Final) {
+		t.Fatal("replayed legacy job differs from a fresh exhaustive-scoring compilation")
+	}
 }
 
 func TestCleanRestartReplaysNothing(t *testing.T) {

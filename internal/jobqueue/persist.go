@@ -66,8 +66,11 @@ type persistedOptions struct {
 	Noise              *persistedNoise `json:"noise,omitempty"`
 	MaxEdgeError       float64         `json:"max_edge_error,omitempty"`
 	Scoring            uint8           `json:"scoring,omitempty"`
-	ExhaustiveScoring  bool            `json:"exhaustive_scoring,omitempty"`
 	ParallelTrials     bool            `json:"parallel_trials,omitempty"`
+
+	// ExhaustiveScoring is the legacy spelling of Scoring: exhaustive,
+	// written by older logs. It is decoded, never written.
+	ExhaustiveScoring bool `json:"exhaustive_scoring,omitempty"`
 }
 
 // persistedNoise is arch.NoiseModel with the edge map flattened to a
@@ -158,12 +161,15 @@ func encodeOptions(o core.Options) persistedOptions {
 		Noise:              encodeNoise(o.Noise),
 		MaxEdgeError:       o.MaxEdgeError,
 		Scoring:            uint8(o.Scoring),
-		ExhaustiveScoring:  o.ExhaustiveScoring,
 		ParallelTrials:     o.ParallelTrials,
 	}
 }
 
 func decodeOptions(p persistedOptions) core.Options {
+	scoring := core.Scoring(p.Scoring)
+	if p.ExhaustiveScoring && scoring == core.ScoringBitset {
+		scoring = core.ScoringExhaustive
+	}
 	return core.Options{
 		Heuristic:          core.Heuristic(p.Heuristic),
 		ExtendedSetSize:    p.ExtendedSetSize,
@@ -177,8 +183,7 @@ func decodeOptions(p persistedOptions) core.Options {
 		UseBridge:          p.UseBridge,
 		Noise:              decodeNoise(p.Noise),
 		MaxEdgeError:       p.MaxEdgeError,
-		Scoring:            core.Scoring(p.Scoring),
-		ExhaustiveScoring:  p.ExhaustiveScoring,
+		Scoring:            scoring,
 		ParallelTrials:     p.ParallelTrials,
 	}
 }

@@ -393,8 +393,10 @@ func DefaultStreamOptions() StreamOptions { return core.DefaultStreamOptions() }
 // CompileStream routes an arbitrarily long gate stream onto dev in
 // O(device + window) memory, emitting routed gates through sink as
 // they retire. Semantics are the pinned streaming traversal (single
-// trial, seeded initial layout); the output is deterministic and
-// byte-identical to the materialized path on the same input. See
+// trial, one forward pass, seeded initial layout); the output is
+// deterministic and byte-identical to core.RouteStreamMaterialized on
+// the same input. It is not comparable to Compile, whose multi-trial,
+// reverse-traversal search routes the whole circuit at once. See
 // core.RouteStream for the full contract.
 func CompileStream(ctx context.Context, src GateSource, dev *Device, opts Options, sopts StreamOptions, sink StreamSink) (*StreamResult, error) {
 	return core.RouteStream(ctx, src, dev, opts, sopts, sink, nil)
