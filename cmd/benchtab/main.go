@@ -415,7 +415,7 @@ type benchSnapshot struct {
 // runBenchJSON measures every workload × router combination with the
 // testing package's benchmark harness (best of several runs, per-metric
 // minima — see sampleMin) and writes the snapshot to file. The pseudo-router "sabre-exhaustive" is the sabre backend with
-// Options.Scoring set to ScoringExhaustive — the pre-delta-scoring reference —
+// Options.Scoring set to ScoringExhaustive — the from-scratch reference —
 // kept in the trajectory so regressions of the incremental scorer show
 // up as a shrinking gap. Every snapshot additionally carries one
 // "score_round" pseudo-workload row per scoring engine — the isolated

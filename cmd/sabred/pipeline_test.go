@@ -87,7 +87,7 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	// Heavy enough that the compile is reliably still in flight when
-	// the client walks away 20ms in: the delta-scoring router finishes
+	// the client walks away 20ms in: the bitset-scoring router finishes
 	// a qft_18 trial in well under a millisecond, so small trial
 	// counts complete before the cancellation can land.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,

@@ -1,12 +1,12 @@
 // Golden determinism suite for the routing core's scoring engines:
-// the branch-free bitset engine (the default), the delta oracle, and
-// the exhaustive reference must route byte-identically over the
-// entire Table II workload suite — same output circuits, same
-// layouts, same pass statistics — at any trial worker count,
-// including under a noise model (float-weighted distances) and with
-// bridges enabled. All three share one candidate order (ascending
-// dense edge id) and one tie-break comparison sequence, so they
-// consume the same RNG stream; this suite is the proof.
+// the branch-free bitset engine (the default) and the exhaustive
+// reference must route byte-identically over the entire Table II
+// workload suite — same output circuits, same layouts, same pass
+// statistics — at any trial worker count, including under a noise
+// model (float-weighted distances) and with bridges enabled. Both
+// share one candidate order (ascending dense edge id) and one
+// tie-break comparison sequence, so they consume the same RNG stream;
+// this suite is the proof.
 package sabre_test
 
 import (
@@ -46,26 +46,28 @@ func assertSameResult(t *testing.T, label string, a, b *core.Result) {
 	}
 }
 
-// goldenEngines is the three-way engine set every golden test sweeps.
+// goldenEngines is the engine pair every golden test sweeps: the
+// production engine and its from-scratch oracle.
 var goldenEngines = []struct {
 	name    string
 	scoring core.Scoring
 }{
 	{"bitset", core.ScoringBitset},
-	{"delta", core.ScoringDelta},
 	{"exhaustive", core.ScoringExhaustive},
 }
 
+// goldenWorkers are the trial-pool sizes every golden test sweeps.
+var goldenWorkers = []int{1, 2, 4, 8}
+
 // TestGoldenScoringEnginesFullSuite routes every Table II benchmark
-// under all three scoring engines at trial worker counts 1, 2, 4 and
-// 8, and asserts every combination produces the byte-identical result
+// under both scoring engines at trial worker counts 1, 2, 4 and 8,
+// and asserts every combination produces the byte-identical result
 // (circuits, layouts, pass statistics). This is the full determinism
 // contract in one sweep: engine-independence (shared candidate order
 // and tie-break RNG stream) and worker-count-independence (per-worker
 // scratch isolation) at once.
 func TestGoldenScoringEnginesFullSuite(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
-	workerCounts := []int{1, 2, 4, 8}
 	for _, b := range workloads.All() {
 		circ := b.Build()
 		var ref *core.Result
@@ -73,7 +75,7 @@ func TestGoldenScoringEnginesFullSuite(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.Trials = 2 // keeps the full-suite sweep inside tier-1 budget
 			opts.Scoring = eng.scoring
-			for _, workers := range workerCounts {
+			for _, workers := range goldenWorkers {
 				tr := pipeline.TrialRunner{Trials: 2, Workers: workers}
 				res, err := tr.Route(context.Background(), circ, dev, opts)
 				if err != nil {
@@ -90,8 +92,10 @@ func TestGoldenScoringEnginesFullSuite(t *testing.T) {
 }
 
 // TestGoldenNoiseAndBridgeConfigs covers the two scoring paths the
-// plain suite does not reach: float-weighted distances (noise model +
-// coupler pruning) and the 4-CNOT bridge transformation.
+// plain suite does not reach — float-weighted distances (noise model +
+// coupler pruning) and the 4-CNOT bridge transformation — plus the
+// basic and look-ahead heuristics, under both engines through Compile
+// and trial pools of 1, 2, 4 and 8 workers.
 func TestGoldenNoiseAndBridgeConfigs(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	circ := workloads.RandomCircuit("golden", 14, 300, 0.6, 5)
@@ -125,9 +129,16 @@ func TestGoldenNoiseAndBridgeConfigs(t *testing.T) {
 			}
 			if ref == nil {
 				ref = res
-				continue
+			} else {
+				assertSameResult(t, tc.name+"/"+eng.name, ref, res)
 			}
-			assertSameResult(t, tc.name+"/"+eng.name, ref, res)
+			for _, workers := range goldenWorkers {
+				res, err := pipeline.TrialRunner{Workers: workers}.Route(context.Background(), circ, dev, opts)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", tc.name, eng.name, workers, err)
+				}
+				assertSameResult(t, tc.name+"/"+eng.name, ref, res)
+			}
 		}
 		if tc.name == "bridge" && ref.BridgeCount == 0 {
 			t.Fatal("bridge config routed zero bridges; the golden test is not exercising the bridge path")
@@ -138,7 +149,7 @@ func TestGoldenNoiseAndBridgeConfigs(t *testing.T) {
 // TestGoldenTrialRunnerWorkerInvariance runs the best-of-N trial
 // protocol at several worker counts (including an odd count and the
 // machine's own GOMAXPROCS) with a deeper trial budget than the
-// full-suite sweep, across all three scoring engines, and asserts
+// full-suite sweep, across both scoring engines, and asserts
 // every combination selects the byte-identical winner: per-worker
 // scratch reuse must never leak state between trials.
 func TestGoldenTrialRunnerWorkerInvariance(t *testing.T) {
@@ -198,7 +209,7 @@ func TestBridgeSharesExtendedSetPerRound(t *testing.T) {
 	}
 }
 
-// TestRoutedOutputStillValid spot-checks that a delta-scored routing
+// TestRoutedOutputStillValid spot-checks that a bitset-scored routing
 // remains hardware-compliant: every two-qubit gate of the decomposed
 // output acts on coupled physical qubits.
 func TestRoutedOutputStillValid(t *testing.T) {

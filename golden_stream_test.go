@@ -73,7 +73,7 @@ func assertSameStream(t *testing.T, label string, a, b *streamOutcome) {
 // through the windowed path and asserts byte-parity against the
 // materialized oracle, then repeats the whole windowed sweep on
 // worker pools of 1, 2, 4 and 8 goroutines (per-worker warm Scratch,
-// workloads pulled off a shared queue) under every scoring engine and
+// workloads pulled off a shared queue) under both scoring engines and
 // asserts every combination reproduces the same bytes — per-worker
 // scratch reuse must never leak state between streams, and the
 // engines score streams as identically as materialized passes.
@@ -97,7 +97,7 @@ func TestGoldenStreamingFullSuite(t *testing.T) {
 	for _, eng := range goldenEngines {
 		opts := opts
 		opts.Scoring = eng.scoring
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range goldenWorkers {
 			streamSuiteSweep(t, eng.name, workers, suite, dev, opts, sopts, ref)
 		}
 	}

@@ -245,13 +245,6 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatal("metadata leaked into the cache key")
 	}
 
-	// ParallelTrials returns bit-identical results and must share keys.
-	par := base
-	par.Options.ParallelTrials = true
-	if KeyOf(par) != key {
-		t.Fatal("ParallelTrials changed the cache key")
-	}
-
 	// Anything result-affecting must change the key.
 	variants := []Job{
 		{Circuit: workloads.QFT(7), Device: dev, Options: base.Options},

@@ -31,9 +31,6 @@ const keyVersion = 4
 // KeyOf computes the cache key of a job. The encoding is canonical:
 // field order is fixed, floats are encoded by their IEEE-754 bits, and
 // map-backed structures (the noise model) are sorted before hashing.
-// Options.ParallelTrials is deliberately excluded — the sequential and
-// parallel trial paths return bit-identical results, so they must
-// share cache entries.
 func KeyOf(job Job) Key {
 	// Defensive for callers hashing unresolved jobs directly; inside
 	// the engine this is a no-op (process resolves before hashing).

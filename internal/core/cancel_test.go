@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/mapping"
+	"repro/internal/workloads"
 )
 
 // bigRandomCX builds a CX-heavy random circuit — large enough that a
@@ -97,5 +99,84 @@ func TestTrialCancellationRoundGranularity(t *testing.T) {
 	// two more traversals of the trial) would blow far past it.
 	if lag := time.Since(cancelled); lag > full/2+50*time.Millisecond {
 		t.Fatalf("cancelled trial took %v to stop (full trial %v); cancellation is not round-granular", lag, full)
+	}
+}
+
+// TestTrialRunnerCancellation: a pre-cancelled context fails the run.
+func TestTrialRunnerCancellation(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	circ := workloads.QFT(16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tr := TrialRunner{Trials: 4}
+	if _, err := tr.Route(ctx, circ, dev, DefaultOptions()); err == nil {
+		t.Fatal("expected cancellation error")
+	}
+}
+
+// TestTrialRunnerCancelMidRun is the regression test for the
+// cancelled-trial completion bug: a worker whose RunTrialCtx was
+// cancelled leaves results[trial] nil, and reporting that trial as
+// completed made the prefix watcher dereference the nil result
+// (panic: BetterTrial on a nil *Result). The runner must instead
+// return ctx.Err() cleanly — this test panicked deterministically
+// before the fix. Patience > 0 keeps the adaptive watcher active;
+// the plain watcher path is covered by the same cancel.
+func TestTrialRunnerCancelMidRun(t *testing.T) {
+	circ := bigRandomCX(20, 6000, 3)
+	dev := arch.IBMQ20Tokyo()
+	opts := DefaultOptions()
+
+	for _, patience := range []int{0, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tr := TrialRunner{Trials: 8, Workers: 2, Patience: patience}
+		done := make(chan error, 1)
+		go func() {
+			_, err := tr.Route(ctx, circ, dev, opts)
+			done <- err
+		}()
+		time.Sleep(5 * time.Millisecond) // let trials get in flight
+		cancel()
+		select {
+		case err := <-done:
+			if err != context.Canceled {
+				t.Fatalf("patience=%d: err = %v, want context.Canceled", patience, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("patience=%d: cancelled run never returned", patience)
+		}
+	}
+}
+
+// TestRunTrialsCancelMidFeed is the regression test for the nil-hole
+// panic: cancelling while trials are still being fed must return a
+// clean ctx.Err(), not panic on a partially-filled results slice.
+func TestRunTrialsCancelMidFeed(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	circ := workloads.QFT(16) // big enough that trials outlive the cancel
+	opts := adaptiveOptions()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		cancel()
+	}()
+	// 512 trials on 2 workers keeps the feed loop alive for hundreds
+	// of milliseconds, so the cancel always lands mid-feed even when a
+	// loaded machine delays the timer goroutine.
+	tr := TrialRunner{Trials: 512, Workers: 2}
+	results, depths, err := tr.RunTrials(ctx, circ, dev, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if results != nil || depths != nil {
+		t.Fatalf("cancelled run returned partial slices (len %d, %d)", len(results), len(depths))
+	}
+
+	// The Route wrapper must surface the same clean error.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if _, err := tr.Route(ctx2, circ, dev, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Route err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -374,31 +375,35 @@ func TestKnownOptimalZeroGap(t *testing.T) {
 
 // --- Parallel trials ---
 
+// TestParallelTrialsBitIdentical: Compile (the one-worker pool on the
+// caller's goroutine) and TrialRunner pools of 1, 2, 4 and 8 workers
+// select the same winner, gate for gate.
 func TestParallelTrialsBitIdentical(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_10", "rd84_142"} {
 		b, _ := workloads.ByName(name)
 		c := b.Build()
-		serial := DefaultOptions()
-		parallel := DefaultOptions()
-		parallel.ParallelTrials = true
-		rs, err := Compile(c, dev, serial)
+		opts := DefaultOptions()
+		want, err := Compile(c, dev, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := Compile(c, dev, parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rs.Circuit.Equal(rp.Circuit) {
-			t.Fatalf("%s: parallel result differs from sequential", name)
-		}
-		if rs.AddedGates != rp.AddedGates || rs.FirstTraversalAdded != rp.FirstTraversalAdded {
-			t.Fatalf("%s: accounting differs", name)
-		}
-		for i := range rs.InitialLayout {
-			if rs.InitialLayout[i] != rp.InitialLayout[i] {
-				t.Fatalf("%s: layouts differ", name)
+		for _, workers := range []int{1, 2, 4, 8} {
+			got, err := TrialRunner{Workers: workers}.Route(context.Background(), c, dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Circuit.Equal(want.Circuit) {
+				t.Fatalf("%s workers=%d: result differs from Compile", name, workers)
+			}
+			if got.AddedGates != want.AddedGates || got.FirstTraversalAdded != want.FirstTraversalAdded ||
+				got.TrialsRun != want.TrialsRun || got.Stats != want.Stats {
+				t.Fatalf("%s workers=%d: accounting differs", name, workers)
+			}
+			for i := range want.InitialLayout {
+				if got.InitialLayout[i] != want.InitialLayout[i] || got.FinalLayout[i] != want.FinalLayout[i] {
+					t.Fatalf("%s workers=%d: layouts differ", name, workers)
+				}
 			}
 		}
 	}

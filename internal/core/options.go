@@ -44,12 +44,13 @@ func (h Heuristic) String() string {
 }
 
 // Scoring selects the engine that evaluates candidate SWAPs each
-// round. All engines share candidate collection (ascending dense edge
+// round. Both engines share candidate collection (ascending dense edge
 // id) and winner selection (one reservoir-sampled tie break over the
 // same score sequence), so for any circuit and seed they produce
-// byte-identical routed output: bitset vs delta is bit-identical by
-// construction (same additions in the same order), and exhaustive is
-// the from-scratch oracle the golden suite pins both against.
+// byte-identical routed output; the golden suite pins the production
+// engine against the from-scratch oracle. The values are explicit
+// because job logs persist uint8(Scoring): 1 was the retired delta
+// engine and is never reused.
 type Scoring uint8
 
 const (
@@ -57,21 +58,18 @@ const (
 	// gathered by OR-ing per-qubit incident-edge bitsets and iterated
 	// with bits.TrailingZeros64; per-qubit round state is a flat CSR
 	// index over physical partners, so the per-candidate loop is a
-	// straight-line gather with no membership branch.
-	ScoringBitset Scoring = iota
-	// ScoringDelta is the PR-4 incremental scorer (per-qubit gate lists
-	// with sign-encoded membership). Kept as the mid-level oracle:
-	// bit-identical to ScoringBitset, structurally independent of it.
-	ScoringDelta
+	// straight-line gather with no membership branch, and a candidate
+	// costs O(deg) as base + Δ.
+	ScoringBitset Scoring = 0
 	// ScoringExhaustive rescores every front/extended gate from scratch
 	// per candidate — the reference behavior, for validation and for
-	// benchmarking the incremental engines. With hop-count distances
-	// (the paper's configuration) the sums are exact int64, so it
-	// routes byte-identically to them; under a NoiseModel the float
-	// sums agree only to ~1 ulp (base+Δ re-associates the
-	// accumulation), which the golden suite checks does not flip a
-	// decision on the real noise configurations.
-	ScoringExhaustive
+	// benchmarking the production engine. With hop-count distances
+	// (the paper's configuration) the sums are exact, so it routes
+	// byte-identically to it; under a NoiseModel the float sums agree
+	// only to ~1 ulp (base+Δ re-associates the accumulation), which
+	// the golden suite checks does not flip a decision on the real
+	// noise configurations.
+	ScoringExhaustive Scoring = 2
 )
 
 // String implements fmt.Stringer.
@@ -79,8 +77,6 @@ func (s Scoring) String() string {
 	switch s {
 	case ScoringBitset:
 		return "bitset"
-	case ScoringDelta:
-		return "delta"
 	case ScoringExhaustive:
 		return "exhaustive"
 	default:
@@ -150,15 +146,9 @@ type Options struct {
 	MaxEdgeError float64
 
 	// Scoring selects the round-scoring engine (default ScoringBitset).
-	// All engines route identically — see the Scoring type — so, like
-	// ParallelTrials, this field is excluded from batch cache keys.
+	// Both engines route identically — see the Scoring type — so this
+	// field is excluded from batch cache keys.
 	Scoring Scoring
-
-	// ParallelTrials runs the random restarts on separate goroutines.
-	// Results are bit-identical to the sequential path (each trial owns
-	// its PRNG and the winner is selected in trial order); only
-	// wall-clock time changes.
-	ParallelTrials bool
 }
 
 // DefaultOptions returns the paper's evaluation configuration:

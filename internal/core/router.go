@@ -325,8 +325,9 @@ type router struct {
 
 	// Per-round base sums of the scoring round's front/extended
 	// distances under the current layout (integer hops or weighted),
-	// computed once per round by buildRoundIndex; candidate scores are
-	// base + delta over the few gates touching the swapped qubits.
+	// computed once per round by buildRoundIndexBitset; candidate
+	// scores are base + Δ over the few gates touching the swapped
+	// qubits.
 	frontSumI int64
 	extSumI   int64
 	frontSumF float64
@@ -335,16 +336,15 @@ type router struct {
 	// Per-round reciprocals of Eq. 2's size normalizations, set by
 	// setRoundScale: invF = 1/|F| and invE = W/|E| (0 when the extended
 	// set is empty). combine multiplies by these instead of dividing
-	// per candidate; every scoring engine shares them, so the rounding
+	// per candidate; both scoring engines share them, so the rounding
 	// is engine-independent.
 	invF float64
 	invE float64
 }
 
 // setRoundScale recomputes the per-round combine reciprocals from the
-// current front/extended sets. Called once per scoring round (and from
-// buildRoundIndex, so white-box tests that drive the scorers directly
-// get consistent scales).
+// current front/extended sets. Called once per scoring round, before
+// either scorer runs.
 //
 //sabre:hotpath
 func (r *router) setRoundScale() {
@@ -599,12 +599,12 @@ func (r *router) insertBestSwap() {
 }
 
 // scoreRound runs one SWAP-selection round up to (but excluding) the
-// mutation: collect candidates, refresh the extended set, fill the
-// per-candidate score buffer with the configured engine, and return
-// the best-scoring candidate edge with ties broken by reservoir
-// sampling. All engines see the same candidate order (ascending dense
-// edge id) and feed the same selection loop, so the tie-break RNG
-// stream — and therefore the routed output — is engine-independent.
+// mutation: collect candidates, refresh the extended set, score every
+// candidate with the configured engine, and return the best-scoring
+// candidate edge with ties broken by reservoir sampling. Both engines
+// see the same candidate order (ascending dense edge id) and run the
+// same comparison and draw sequence, so the tie-break RNG stream —
+// and therefore the routed output — is engine-independent.
 // Split from insertBestSwap so tests and benchmarks can measure a
 // steady-state round in isolation.
 //
@@ -623,8 +623,7 @@ func (r *router) scoreRound() arch.Edge {
 		r.stats.MaxFront = len(s.front)
 	}
 
-	mode := r.opts.Scoring
-	if mode == ScoringBitset {
+	if r.opts.Scoring == ScoringBitset {
 		// The bitset engine fuses winner selection into its scoring
 		// pass (same comparisons and RNG draws as selectBest, see
 		// scoreBitset), so it skips the score buffer entirely.
@@ -636,15 +635,8 @@ func (r *router) scoreRound() arch.Edge {
 		s.scores = make([]float64, len(s.candIDs))
 	}
 	s.scores = s.scores[:len(s.candIDs)]
-	if mode == ScoringDelta {
-		r.buildRoundIndex()
-		for i := range s.candIDs {
-			s.scores[i] = r.scoreSwap(r.candidate(i))
-		}
-	} else { // ScoringExhaustive
-		for i := range s.candIDs {
-			s.scores[i] = r.scoreSwapExhaustive(r.candidate(i))
-		}
+	for i := range s.candIDs {
+		s.scores[i] = r.scoreSwapExhaustive(r.candidate(i))
 	}
 	return r.selectBest()
 }
@@ -653,10 +645,10 @@ func (r *router) scoreRound() arch.Edge {
 // scoring candidate, reservoir-sampling among ties (within a 1e-12
 // band) so the seeded search explores plateaus uniformly — the
 // authors' artifact randomizes tie order the same way. This loop is
-// the only RNG consumer in a round; the oracle engines share it, and
-// the bitset engine fuses the identical comparison/draw sequence into
-// its scoring pass (scoreBitset), so every engine consumes the same
-// RNG stream and routes byte-identically.
+// the only RNG consumer in an exhaustive round; the bitset engine
+// fuses the identical comparison/draw sequence into its scoring pass
+// (scoreBitset), so both engines consume the same RNG stream and route
+// byte-identically.
 //
 //sabre:hotpath
 func (r *router) selectBest() arch.Edge {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -17,10 +15,9 @@ import (
 // Prepared holds the trial-invariant inputs of a multi-trial compile:
 // the normalized options, the effective (possibly noise-pruned)
 // device, and the widened forward/reversed circuits. Preparing once
-// and fanning RunTrial out over many seeds is how the trial runner in
-// internal/pipeline shares the precomputed state — circuits, DAG
-// inputs, and the device's cached distance matrices — read-only across
-// a worker pool.
+// and fanning RunTrialCtx out over many seeds is how TrialRunner
+// shares the precomputed state — circuits, dependency tables, and the
+// device's cached distance matrices — read-only across a worker pool.
 type Prepared struct {
 	dev  *arch.Device
 	opts Options
@@ -37,7 +34,7 @@ type Prepared struct {
 // read-only state every trial needs: the widened forward and reversed
 // circuits, their dependency DAGs, and the device's (possibly
 // noise-weighted) distance matrices. The returned value is safe for
-// concurrent RunTrial calls.
+// concurrent RunTrialCtx calls.
 func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, error) {
 	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
@@ -69,22 +66,14 @@ func (p *Prepared) Options() Options { return p.opts }
 // device, or its noise-pruned subdevice).
 func (p *Prepared) Device() *arch.Device { return p.dev }
 
-// RunTrial executes one random restart: Traversals alternating
+// RunTrialWith executes one random restart: Traversals alternating
 // forward/backward passes seeded by Seed+trial (the reverse-traversal
 // technique of §IV-C2), returning the final forward pass's result and
 // its decomposed depth (the deterministic tie-break key). Safe to call
-// concurrently for distinct trials. It allocates a private Scratch;
-// workers that run many trials should hold one Scratch each and use
-// RunTrialWith.
-func (p *Prepared) RunTrial(trial int) (*Result, int) {
-	return p.RunTrialWith(trial, nil)
-}
-
-// RunTrialWith is RunTrial routing through the caller's scratch
-// buffers. The scratch must not be shared between concurrent calls;
-// the per-worker ownership discipline (one Scratch per goroutine,
-// nothing mutable shared across the pool) is what keeps parallel
-// trials allocation- and contention-free.
+// concurrently for distinct trials, each with its own scratch (nil
+// allocates a private one): the per-worker ownership discipline (one
+// Scratch per goroutine, nothing mutable shared across the pool) is
+// what keeps parallel trials allocation- and contention-free.
 func (p *Prepared) RunTrialWith(trial int, s *Scratch) (*Result, int) {
 	res, depth, _ := p.RunTrialCtx(context.Background(), trial, s)
 	return res, depth
@@ -196,78 +185,11 @@ func Compile(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, er
 // granularity, so a cancelled caller (a dropped HTTP request, say)
 // stops burning CPU within one round even mid-way through a huge
 // single trial. Returns ctx.Err() when cancelled before a winner
-// exists.
+// exists. The trials run one after another on the caller's goroutine
+// (TrialRunner{Workers: 1}), so Result.Elapsed is single-threaded
+// time, comparable with the single-threaded baselines of Table II.
 func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
-	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
-	start := time.Now()
-	p, err := Prepare(circ, dev, opts)
-	if err != nil {
-		return nil, err
-	}
-	opts = p.opts
-
-	results := make([]*Result, opts.Trials)
-	depths := make([]int, opts.Trials)
-	if opts.ParallelTrials && opts.Trials > 1 {
-		// Bounded worker pool: GOMAXPROCS goroutines, each owning one
-		// Scratch for its whole share of the trials. One goroutine per
-		// trial would both oversubscribe the scheduler on large trial
-		// counts and waste a scratch warm-up per trial.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > opts.Trials {
-			workers = opts.Trials
-		}
-		trials := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				s := NewScratch()
-				for trial := range trials {
-					// Cancellation is honored both here (a trial not yet
-					// started when ctx dies is skipped) and inside the
-					// trial's SWAP loop at round granularity, so the run
-					// as a whole fails below within one round.
-					res, depth, err := p.RunTrialCtx(ctx, trial, s)
-					if err != nil {
-						continue
-					}
-					results[trial], depths[trial] = res, depth
-				}
-			}()
-		}
-	feed:
-		for trial := 0; trial < opts.Trials; trial++ {
-			select {
-			case trials <- trial:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(trials)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		s := NewScratch()
-		for trial := 0; trial < opts.Trials; trial++ {
-			res, depth, err := p.RunTrialCtx(ctx, trial, s)
-			if err != nil {
-				return nil, err
-			}
-			results[trial], depths[trial] = res, depth
-		}
-	}
-
-	best, err := SelectBest(results, depths)
-	if err != nil {
-		return nil, err
-	}
-	best.TrialsRun = opts.Trials
-	best.Elapsed = time.Since(start)
-	return best, nil
+	return TrialRunner{Workers: 1}.Route(ctx, circ, dev, opts)
 }
 
 // CompileWithLayout routes circ starting from a caller-chosen initial

@@ -47,28 +47,17 @@ type Scratch struct {
 	candWords []uint64
 	candIDs   []int32
 
-	// scores holds the per-candidate heuristic scores of one round,
-	// filled by the configured scoring engine and consumed by one
-	// shared selection loop — which is what keeps the RNG stream of the
-	// reservoir tie-break identical across engines.
+	// scores holds the per-candidate heuristic scores of one
+	// exhaustive-scoring round, consumed by selectBest (the bitset
+	// engine selects inline and never fills it).
 	scores []float64
 
 	// Extended-set BFS: per-handle epoch stamps replace a visited map,
-	// bfsQueue a throwaway queue slice. (Delta scoring needs no marks:
-	// its only shared gate, the one touching both swapped qubits, is
-	// deduplicated by a partner-qubit skip.)
+	// bfsQueue a throwaway queue slice.
 	extended  []int
 	gateMark  []int32 // len = handle bound; BFS visited set
 	gateEpoch int32
 	bfsQueue  []int
-
-	// Per-round delta-scoring index: for each logical qubit, the front
-	// and extended gates touching it (front gate gi encoded as gi+1,
-	// extended as -(gi+1)). qTouched lists the qubits with non-empty
-	// entries so resetting is O(touched), not O(n). Used only by the
-	// ScoringDelta oracle; the bitset engine uses the CSR index below.
-	qGates   [][]int32
-	qTouched []int
 
 	// Per-round bitset-scoring index. Front-layer gates are
 	// vertex-disjoint (two gates sharing a qubit are DAG-ordered, so at
@@ -196,15 +185,6 @@ func (s *Scratch) reset(n, gates, edges int) {
 	}
 	s.candWords = s.candWords[:words]
 	s.sizeMarks(gates)
-	if len(s.qGates) < n {
-		old := s.qGates
-		s.qGates = make([][]int32, n)
-		copy(s.qGates, old)
-	}
-	for _, q := range s.qTouched {
-		s.qGates[q] = s.qGates[q][:0]
-	}
-	s.qTouched = s.qTouched[:0]
 	if cap(s.fpart) < n {
 		s.fpart = make([]int32, n)
 		s.extCnt = make([]int32, n)

@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"context"
@@ -11,34 +11,19 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 )
-
-// runTrialRecover runs one trial with a panic fence: a panicking trial
-// is recorded (first panic wins, with the panicking goroutine's stack)
-// and reported as a failed trial so the worker keeps draining the feed
-// — with every worker parked behind an unrecovered panic the feeder
-// would deadlock. RunTrials re-raises the captured panic once the pool
-// drains.
-func runTrialRecover(once *sync.Once, pv *atomic.Value, p *core.Prepared, ctx context.Context, trial int, scratch *core.Scratch) (res *core.Result, depth int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			once.Do(func() {
-				pv.Store(fmt.Sprintf("pipeline: trial %d panic: %v\n%s", trial, r, debug.Stack()))
-			})
-			res, depth, err = nil, 0, fmt.Errorf("pipeline: trial %d panicked", trial)
-		}
-	}()
-	return p.RunTrialCtx(ctx, trial, scratch)
-}
 
 // TrialRunner executes the paper's best-of-N protocol — N independent
 // routing trials, each a full reverse-traversal restart from a
-// different random initial mapping — across a bounded worker pool.
+// different random initial mapping (§IV-C2) — across a bounded worker
+// pool. It is the only best-of-N routing loop: Compile is
+// TrialRunner{Workers: 1}, the registry's "sabre" router is the same
+// value, and the pipeline's RoutePass runs it with its own worker
+// bound.
 //
-// All trials share one core.Prepared (widened/reversed circuits and
-// the device's cached distance matrices) read-only; nothing is locked
-// on the routing hot path. Trial t always uses seed Options.Seed+t and
+// All trials share one Prepared (widened/reversed circuits and the
+// device's cached distance matrices) read-only; nothing is locked on
+// the routing hot path. Trial t always uses seed Options.Seed+t and
 // results are collected by trial index, then the winner is selected by
 // fewest added gates, ties broken by decomposed depth, then by lowest
 // seed — so the outcome is byte-identical at any worker count.
@@ -52,15 +37,16 @@ func runTrialRecover(once *sync.Once, pv *atomic.Value, p *core.Prepared, ctx co
 // equals what exhaustive selection over that same prefix would pick.
 // Result.TrialsRun reports the population actually selected over.
 //
-// TrialRunner implements core.Router and is the default routing
-// backend of RoutePass.
+// The zero value is ready to use and implements Router.
 type TrialRunner struct {
 	// Trials is the number of independent seeds (0 = Options.Trials,
 	// which defaults to the paper's 5). In adaptive mode it is the
 	// upper bound on the population.
 	Trials int
 
-	// Workers bounds the pool (0 = min(Trials, GOMAXPROCS)).
+	// Workers bounds the pool (0 = min(Trials, GOMAXPROCS)). One
+	// worker runs the trials in seed order on the caller's goroutine,
+	// so a trial panic propagates to the caller unchanged.
 	Workers int
 
 	// Patience, when positive, enables adaptive early exit: feeding
@@ -70,21 +56,22 @@ type TrialRunner struct {
 	Patience int
 }
 
-// Name implements core.Router.
+// Name implements Router.
 func (TrialRunner) Name() string { return "sabre" }
 
-// Route implements core.Router: it runs the trials and returns the
+// Route implements Router: it runs the trials and returns the
 // deterministic winner. Cancellation is honored at trial boundaries
 // and inside each trial's SWAP loop at round granularity; a cancelled
-// run returns ctx.Err().
-func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*core.Result, error) {
+// run returns ctx.Err(). Result.Elapsed covers preparation and every
+// trial (Table II's t_op).
+func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
 	results, depths, err := tr.RunTrials(ctx, circ, dev, opts)
 	if err != nil {
 		return nil, err
 	}
-	best, err := core.SelectBest(results, depths)
+	best, err := SelectBest(results, depths)
 	if err != nil {
 		return nil, err
 	}
@@ -99,17 +86,17 @@ func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arc
 // early-exit population; otherwise their length is the full trial
 // count. Exposed so studies and tests can inspect the whole trial
 // population, not just the winner.
-func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) ([]*core.Result, []int, error) {
+func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) ([]*Result, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p, err := core.Prepare(circ, dev, opts)
+	p, err := Prepare(circ, dev, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := tr.Trials
 	if n <= 0 {
-		n = p.Options().Trials
+		n = p.opts.Trials
 	}
 	workers := tr.Workers
 	if workers <= 0 || workers > n {
@@ -119,8 +106,19 @@ func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev 
 		workers = max
 	}
 
-	results := make([]*core.Result, n)
+	results := make([]*Result, n)
 	depths := make([]int, n)
+	if workers == 1 {
+		return tr.runOnCaller(ctx, p, results, depths)
+	}
+	return tr.runPool(ctx, p, workers, results, depths)
+}
+
+// runPool runs the trials on workers goroutines, each with its own
+// Scratch, fed in seed order until the adaptive stop point (or all n
+// trials) has been handed out.
+func (tr TrialRunner) runPool(ctx context.Context, p *Prepared, workers int, results []*Result, depths []int) ([]*Result, []int, error) {
+	n := len(results)
 	// A panic in a trial worker must not unwind its goroutine — that
 	// would kill the whole process, not just this job. The first panic
 	// is captured (with the panicking goroutine's stack) and re-raised
@@ -130,6 +128,7 @@ func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev 
 		panicOnce sync.Once
 		panicVal  atomic.Value
 	)
+	done := ctx.Done() // read once; the feeder selects on it per trial
 	trials := make(chan int)
 	// completions is buffered to n so workers never block reporting;
 	// the feeder drains it opportunistically to learn the early-exit
@@ -143,7 +142,7 @@ func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev 
 			// One Scratch per worker: every trial this worker runs
 			// reuses the same warm buffers, and no mutable state is
 			// shared across the pool (the shared Prepared is read-only).
-			scratch := core.NewScratch()
+			scratch := NewScratch()
 			for trial := range trials {
 				// RunTrialCtx polls ctx inside the SWAP loop at round
 				// granularity, so cancellation kills even one enormous
@@ -152,7 +151,7 @@ func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev 
 				// cancelled trial must NOT report completion: its
 				// results slot is nil, and the prefix watcher walking
 				// a "completed" nil entry would dereference it. The
-				// feeder still terminates via its ctx.Done case.
+				// feeder still terminates via its done case.
 				res, depth, err := runTrialRecover(&panicOnce, &panicVal, p, ctx, trial, scratch)
 				if err != nil {
 					continue
@@ -189,7 +188,7 @@ feed:
 				if trial >= stop {
 					break feed
 				}
-			case <-ctx.Done():
+			case <-done:
 				break feed
 			}
 		}
@@ -221,12 +220,51 @@ feed:
 	return results, depths, nil
 }
 
+// runOnCaller is the one-worker pool: the trials run in seed order on
+// the caller's goroutine with one Scratch, stopping at the first
+// cancellation or where the adaptive rule fires. Without a goroutine
+// there is nothing to fence, so a trial panic unwinds into the caller
+// with the trial's own stack.
+func (tr TrialRunner) runOnCaller(ctx context.Context, p *Prepared, results []*Result, depths []int) ([]*Result, []int, error) {
+	s := NewScratch()
+	prefix := newPrefixWatcher(results, depths, tr.Patience)
+	for trial := range results {
+		res, depth, err := p.RunTrialCtx(ctx, trial, s)
+		if err != nil {
+			return nil, nil, err
+		}
+		results[trial], depths[trial] = res, depth
+		if pop, fired := prefix.step(trial); fired {
+			return results[:pop], depths[:pop], nil
+		}
+	}
+	return results, depths, nil
+}
+
+// runTrialRecover runs one pool trial with a panic fence: a panicking
+// trial is recorded (first panic wins, with the panicking goroutine's
+// stack) and reported as a failed trial so the worker keeps draining
+// the feed — with every worker parked behind an unrecovered panic the
+// feeder would deadlock. RunTrials re-raises the captured panic once
+// the pool drains.
+func runTrialRecover(once *sync.Once, pv *atomic.Value, p *Prepared, ctx context.Context, trial int, scratch *Scratch) (res *Result, depth int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			once.Do(func() {
+				pv.Store(fmt.Sprintf("core: trial %d panic: %v\n%s", trial, r, debug.Stack()))
+			})
+			res, depth, err = nil, 0, fmt.Errorf("core: trial %d panicked", trial)
+		}
+	}()
+	return p.RunTrialCtx(ctx, trial, scratch)
+}
+
 // prefixWatcher evaluates the adaptive stop rule incrementally over
 // the contiguous completed prefix of a trial population, in strict
-// trial order: track the incumbent best (per core.BetterTrial) and
-// stop after `patience` consecutive trials that failed to improve it.
+// trial order: track the incumbent best (per BetterTrial) and stop
+// after `patience` consecutive trials that failed to improve it.
 type prefixWatcher struct {
-	results  []*core.Result
+	results  []*Result
 	depths   []int
 	patience int
 
@@ -235,14 +273,14 @@ type prefixWatcher struct {
 	sinceImp int // consecutive non-improving trials
 }
 
-func newPrefixWatcher(results []*core.Result, depths []int, patience int) *prefixWatcher {
-	return &prefixWatcher{results: results, depths: depths, patience: patience, best: -1}
+func newPrefixWatcher(results []*Result, depths []int, patience int) prefixWatcher {
+	return prefixWatcher{results: results, depths: depths, patience: patience, best: -1}
 }
 
 // step evaluates one completed trial; it returns the population size
 // (trial+1) and true when the stop rule fires at that trial.
 func (w *prefixWatcher) step(trial int) (int, bool) {
-	if w.best < 0 || core.BetterTrial(w.results[trial], w.depths[trial], trial,
+	if w.best < 0 || BetterTrial(w.results[trial], w.depths[trial], trial,
 		w.results[w.best], w.depths[w.best], w.best) {
 		w.best = trial
 		w.sinceImp = 0

@@ -1,20 +1,42 @@
-package pipeline
+package core
 
 import (
 	"context"
-	"errors"
+	"fmt"
+	"runtime/debug"
+	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
-func adaptiveOptions() core.Options {
-	opts := core.DefaultOptions()
+func adaptiveOptions() Options {
+	opts := DefaultOptions()
 	opts.Seed = 11
 	return opts
+}
+
+func TestTrialRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	circ := bigRandomCX(16, 120, 11)
+	opts := DefaultOptions()
+	opts.Seed = 42
+
+	var ref *Result
+	for _, workers := range []int{1, 2, 3, 8} {
+		tr := TrialRunner{Trials: 8, Workers: workers}
+		res, err := tr.Route(context.Background(), circ, dev, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = res
+		} else if !res.Circuit.Equal(ref.Circuit) {
+			t.Fatalf("workers=%d produced a different routed circuit than workers=1", workers)
+		}
+	}
 }
 
 // TestAdaptiveDeterministicAtAnyWorkerCount is the load-bearing
@@ -65,7 +87,7 @@ func TestAdaptiveMatchesExhaustivePrefix(t *testing.T) {
 	if pop == 0 || pop > 20 {
 		t.Fatalf("adaptive population = %d", pop)
 	}
-	adaptiveBest, err := core.SelectBest(aResults, aDepths)
+	adaptiveBest, err := SelectBest(aResults, aDepths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +96,7 @@ func TestAdaptiveMatchesExhaustivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustiveBest, err := core.SelectBest(eResults[:pop], eDepths[:pop])
+	exhaustiveBest, err := SelectBest(eResults[:pop], eDepths[:pop])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,50 +131,65 @@ func TestAdaptiveReportsActualTrialCount(t *testing.T) {
 	}
 }
 
-// TestRunTrialsCancelMidFeed is the regression test for the nil-hole
-// panic: cancelling while trials are still being fed must return a
-// clean ctx.Err(), not panic on a partially-filled results slice.
-func TestRunTrialsCancelMidFeed(t *testing.T) {
-	dev := arch.IBMQ20Tokyo()
-	circ := workloads.QFT(16) // big enough that trials outlive the cancel
-	opts := adaptiveOptions()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	// 512 trials on 2 workers keeps the feed loop alive for hundreds
-	// of milliseconds, so the cancel always lands mid-feed even when a
-	// loaded machine delays the timer goroutine.
-	tr := TrialRunner{Trials: 512, Workers: 2}
-	results, depths, err := tr.RunTrials(ctx, circ, dev, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if results != nil || depths != nil {
-		t.Fatalf("cancelled run returned partial slices (len %d, %d)", len(results), len(depths))
-	}
-
-	// The Route wrapper must surface the same clean error.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, err := tr.Route(ctx2, circ, dev, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Route err = %v, want context.Canceled", err)
-	}
+// panicAfterCtx is a context whose Done panics from its (after+1)-th
+// call on. Every traversal calls Done once when it starts, so the
+// panic fires inside a trial's routing.
+type panicAfterCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
 }
 
-// TestAdaptiveRouteViaPassName exercises the Patience plumbing through
-// RoutePass and asserts exhaustive-vs-adaptive consistency end to end.
-func TestAdaptivePassRuns(t *testing.T) {
-	dev := arch.IBMQ20Tokyo()
-	circ := workloads.GHZ(10)
-	pm := New(RoutePass{Trials: 12, Patience: 2}, VerifyPass{})
-	pc, err := pm.Compile(context.Background(), circ, dev, adaptiveOptions())
-	if err != nil {
-		t.Fatal(err)
+func (c *panicAfterCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) > c.after {
+		panic("injected trial panic")
 	}
-	if pc.Result.TrialsRun < 1 || pc.Result.TrialsRun > 12 {
-		t.Fatalf("TrialsRun = %d", pc.Result.TrialsRun)
+	return c.Context.Done()
+}
+
+// TestTrialPanicReachesCaller: a panic inside a trial reaches the
+// caller of Compile, on the caller's goroutine with the panicking
+// trial's frames still on the stack, and the pool re-raises a worker's
+// panic with that worker's stack in the value instead of losing it or
+// deadlocking.
+func TestTrialPanicReachesCaller(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	circ := workloads.QFT(8)
+	for _, tc := range []struct {
+		name  string
+		route func(ctx context.Context) (*Result, error)
+	}{
+		{"compile", func(ctx context.Context) (*Result, error) {
+			return CompileContext(ctx, circ, dev, DefaultOptions())
+		}},
+		{"pool", func(ctx context.Context) (*Result, error) {
+			return TrialRunner{Trials: 4, Workers: 2}.Route(ctx, circ, dev, DefaultOptions())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The fourth Done call is the second trial's first traversal
+			// on the caller (three traversals per trial), and a trial
+			// traversal in the pool (the feeder calls Done once).
+			ctx := &panicAfterCtx{Context: context.Background(), after: 3}
+			var recovered any
+			var stack string
+			func() {
+				defer func() {
+					recovered = recover()
+					stack = string(debug.Stack())
+				}()
+				_, _ = tc.route(ctx)
+			}()
+			if recovered == nil {
+				t.Fatal("trial panic did not reach the caller")
+			}
+			text := fmt.Sprint(recovered) + "\n" + stack
+			if !strings.Contains(text, "injected trial panic") {
+				t.Fatalf("panic value lost: %v", recovered)
+			}
+			if !strings.Contains(text, "RunTrialCtx") {
+				t.Fatalf("panic carries no trial stack:\n%s", text)
+			}
+		})
 	}
 }

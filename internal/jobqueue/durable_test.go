@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -188,10 +189,9 @@ func TestReplayOnBoot(t *testing.T) {
 	waitState(t, q, snap.ID, StateDone)
 }
 
-// legacyExhaustivePayload is a job record as older daemons wrote it
-// when Options.ExhaustiveScoring was set: the legacy bool in the
-// options object, the scoring field as given.
-func legacyExhaustivePayload(t *testing.T, req Request) []byte {
+// legacyPayload is a job record as older daemons wrote it: fields
+// merged into the options object of req's current encoding.
+func legacyPayload(t *testing.T, req Request, fields map[string]any) []byte {
 	t.Helper()
 	var rec map[string]any
 	if err := json.Unmarshal(mustPayload(t, req), &rec); err != nil {
@@ -202,7 +202,9 @@ func legacyExhaustivePayload(t *testing.T, req Request) []byte {
 		opts = map[string]any{}
 		rec["options"] = opts
 	}
-	opts["exhaustive_scoring"] = true
+	for k, v := range fields {
+		opts[k] = v
+	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -210,50 +212,82 @@ func legacyExhaustivePayload(t *testing.T, req Request) []byte {
 	return b
 }
 
-// TestReplayLegacyExhaustiveScoring replays a log written before
-// Options.ExhaustiveScoring was folded into Options.Scoring: the old
-// flag decodes as ScoringExhaustive (an explicit non-default Scoring
-// still wins, as it did), re-encoding no longer writes it, and the
-// replayed job routes exactly like a fresh exhaustive-scoring job.
+// TestReplayLegacyExhaustiveScoring replays option fields older logs
+// carry: the retired delta engine (scoring 1) decodes as bitset, the
+// legacy exhaustive_scoring flag as exhaustive unless an explicit
+// non-zero scoring is present, parallel_trials is ignored, and an
+// unknown engine fails to decode, so replay drops that job. Each
+// replayed job routes byte-identically to a fresh job with the decoded
+// engine on a separate engine (no shared cache), and re-encoding
+// writes none of the legacy fields.
 func TestReplayLegacyExhaustiveScoring(t *testing.T) {
-	legacy := legacyExhaustivePayload(t, durableReq("legacy"))
-	dec, err := decodeRequest(legacy, nil)
-	if err != nil {
-		t.Fatal(err)
+	req := func(tag string) Request {
+		return Request{
+			Job:        batch.Job{Circuit: workloads.QFT(8), Device: arch.IBMQ20Tokyo(), Tag: tag},
+			DeviceSpec: "tokyo",
+		}
 	}
-	if got := dec.Job.Options.Scoring; got != core.ScoringExhaustive {
-		t.Fatalf("legacy exhaustive_scoring decoded as %v, want exhaustive", got)
+	cases := []struct {
+		name   string
+		fields map[string]any
+		want   core.Scoring
+		bad    bool
+	}{
+		{"exhaustive-flag", map[string]any{"exhaustive_scoring": true}, core.ScoringExhaustive, false},
+		{"delta", map[string]any{"scoring": 1}, core.ScoringBitset, false},
+		{"delta+exhaustive-flag", map[string]any{"scoring": 1, "exhaustive_scoring": true}, core.ScoringBitset, false},
+		{"exhaustive+exhaustive-flag", map[string]any{"scoring": 2, "exhaustive_scoring": true}, core.ScoringExhaustive, false},
+		{"parallel-trials", map[string]any{"parallel_trials": true}, core.ScoringBitset, false},
+		{"unknown-engine", map[string]any{"scoring": 7}, 0, true},
 	}
-	if again := mustPayload(t, dec); strings.Contains(string(again), "exhaustive_scoring") {
-		t.Fatalf("re-encoded record still writes the legacy field: %s", again)
-	}
-	delta := durableReq("legacy-delta")
-	delta.Job.Options.Scoring = core.ScoringDelta
-	dec, err = decodeRequest(legacyExhaustivePayload(t, delta), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec.Job.Options.Scoring; got != core.ScoringDelta {
-		t.Fatalf("explicit delta scoring lost to the legacy flag: %v", got)
+	var recs []joblog.Record
+	for i, tc := range cases {
+		payload := legacyPayload(t, req(tc.name), tc.fields)
+		dec, err := decodeRequest(payload, nil)
+		if tc.bad {
+			if err == nil {
+				t.Fatalf("%s: decoded an unknown scoring engine as %v", tc.name, dec.Job.Options.Scoring)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got := dec.Job.Options.Scoring; got != tc.want {
+				t.Fatalf("%s: decoded scoring %v, want %v", tc.name, got, tc.want)
+			}
+			again := string(mustPayload(t, dec))
+			if strings.Contains(again, "exhaustive_scoring") || strings.Contains(again, "parallel_trials") {
+				t.Fatalf("%s: re-encoded record still writes a legacy field: %s", tc.name, again)
+			}
+		}
+		recs = append(recs, joblog.Record{
+			Kind: joblog.KindAccepted, Seq: uint64(i + 1), Time: int64(100 * (i + 1)),
+			ID: fmt.Sprintf("job-legacy-%d", i+1), Payload: payload,
+		})
 	}
 
 	dir := t.TempDir()
-	synthCrashLog(t, dir, []joblog.Record{
-		{Kind: joblog.KindAccepted, Seq: 1, Time: 100, ID: "job-legacy-1", Payload: legacy},
-	})
-	q, eng := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
-	if st := q.Stats(); st.Recovery == nil || st.Recovery.Replayed != 1 || st.Recovery.Dropped != 0 {
-		t.Fatalf("recovery = %+v", st.Recovery)
+	synthCrashLog(t, dir, recs)
+	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
+	if st := q.Stats(); st.Recovery == nil || st.Recovery.Replayed != len(cases) || st.Recovery.Dropped != 1 {
+		t.Fatalf("recovery = %+v, want %d replayed, 1 of them dropped", st.Recovery, len(cases))
 	}
-	snap := waitState(t, q, "job-legacy-1", StateDone)
-	job := durableReq("legacy").Job
-	job.Options.Scoring = core.ScoringExhaustive
-	fresh := <-eng.SubmitContext(context.Background(), job)
-	if fresh.Err != nil {
-		t.Fatal(fresh.Err)
-	}
-	if qasm.Format(snap.Result.Final) != qasm.Format(fresh.Final) {
-		t.Fatal("replayed legacy job differs from a fresh exhaustive-scoring compilation")
+	fresh := batch.NewEngine(batch.Config{Workers: 2})
+	defer fresh.Close()
+	for i, tc := range cases {
+		if tc.bad {
+			continue
+		}
+		snap := waitState(t, q, recs[i].ID, StateDone)
+		job := req(tc.name).Job
+		job.Options.Scoring = tc.want
+		want := <-fresh.SubmitContext(context.Background(), job)
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		if qasm.Format(snap.Result.Final) != qasm.Format(want.Final) {
+			t.Fatalf("%s: replayed job differs from a fresh %v-scoring compilation", tc.name, tc.want)
+		}
 	}
 }
 

@@ -66,12 +66,16 @@ type persistedOptions struct {
 	Noise              *persistedNoise `json:"noise,omitempty"`
 	MaxEdgeError       float64         `json:"max_edge_error,omitempty"`
 	Scoring            uint8           `json:"scoring,omitempty"`
-	ParallelTrials     bool            `json:"parallel_trials,omitempty"`
 
 	// ExhaustiveScoring is the legacy spelling of Scoring: exhaustive,
 	// written by older logs. It is decoded, never written.
 	ExhaustiveScoring bool `json:"exhaustive_scoring,omitempty"`
 }
+
+// legacyScoringDelta is the persisted Scoring value of the retired
+// delta engine. Its routed output was bit-identical to the bitset
+// engine's, so old logs replay it as ScoringBitset.
+const legacyScoringDelta = 1
 
 // persistedNoise is arch.NoiseModel with the edge map flattened to a
 // sorted list (deterministic bytes for identical models).
@@ -130,11 +134,15 @@ func decodeRequest(payload []byte, device func(spec string) (*arch.Device, error
 	if err != nil {
 		return Request{}, fmt.Errorf("jobqueue: decode job device %q: %w", p.Device, err)
 	}
+	opts, err := decodeOptions(p.Options)
+	if err != nil {
+		return Request{}, err
+	}
 	return Request{
 		Job: batch.Job{
 			Circuit:        circ,
 			Device:         dev,
-			Options:        decodeOptions(p.Options),
+			Options:        opts,
 			Trials:         p.Trials,
 			Route:          p.Route,
 			Passes:         p.Passes,
@@ -161,13 +169,25 @@ func encodeOptions(o core.Options) persistedOptions {
 		Noise:              encodeNoise(o.Noise),
 		MaxEdgeError:       o.MaxEdgeError,
 		Scoring:            uint8(o.Scoring),
-		ParallelTrials:     o.ParallelTrials,
 	}
 }
 
-func decodeOptions(p persistedOptions) core.Options {
-	scoring := core.Scoring(p.Scoring)
-	if p.ExhaustiveScoring && scoring == core.ScoringBitset {
+// decodeOptions rebuilds the options of a persisted job. An unknown
+// scoring engine is an error, so replay drops the job instead of
+// routing it with an engine it never asked for.
+func decodeOptions(p persistedOptions) (core.Options, error) {
+	var scoring core.Scoring
+	switch p.Scoring {
+	case uint8(core.ScoringBitset), legacyScoringDelta:
+		scoring = core.ScoringBitset
+	case uint8(core.ScoringExhaustive):
+		scoring = core.ScoringExhaustive
+	default:
+		return core.Options{}, fmt.Errorf("jobqueue: decode job options: unknown scoring engine %d", p.Scoring)
+	}
+	// An explicit engine (any non-zero persisted value) wins over the
+	// legacy flag.
+	if p.ExhaustiveScoring && p.Scoring == 0 {
 		scoring = core.ScoringExhaustive
 	}
 	return core.Options{
@@ -184,8 +204,7 @@ func decodeOptions(p persistedOptions) core.Options {
 		Noise:              decodeNoise(p.Noise),
 		MaxEdgeError:       p.MaxEdgeError,
 		Scoring:            scoring,
-		ParallelTrials:     p.ParallelTrials,
-	}
+	}, nil
 }
 
 func encodeNoise(m *arch.NoiseModel) *persistedNoise {

@@ -75,6 +75,11 @@ func (LayoutPass) Run(pc *Ctx) error {
 	return nil
 }
 
+// TrialRunner is core.TrialRunner, the bounded-pool best-of-N routing
+// backend RoutePass runs by default, under the name the facade and
+// sabrebench use.
+type TrialRunner = core.TrialRunner
+
 // RoutePass maps the working circuit onto the device. With pc.Layout
 // set (a preceding LayoutPass), it routes a single forward traversal
 // from that layout; otherwise it delegates to Router — by default the

@@ -7,10 +7,11 @@
 //
 // A Pass transforms the shared Ctx; a Manager composes passes with
 // per-pass timing/metrics, deterministic seeding and cancellation.
-// TrialRunner fans the paper's best-of-N random-restart protocol out
-// over a bounded worker pool sharing the device's precomputed distance
-// matrices, and selects the winner deterministically, so results are
-// byte-identical at any worker count.
+// RoutePass runs the paper's best-of-N random-restart protocol through
+// core.TrialRunner, a bounded worker pool sharing the device's
+// precomputed distance matrices that selects the winner
+// deterministically, so results are byte-identical at any worker
+// count.
 package pipeline
 
 import (
@@ -220,9 +221,9 @@ func ByName(name string) (Pass, error) {
 	case "route":
 		switch arg {
 		case "", "sabre", "trials":
-			// The default backend is the bounded-pool TrialRunner, not
-			// the registry's sequential SabreRouter; both compute the
-			// identical result, but the pool parallelises the trials.
+			// The registry's sabre entry is the same TrialRunner with
+			// one worker; RoutePass{} runs it on the default pool, with
+			// the identical result.
 			return RoutePass{}, nil
 		default:
 			r, err := route.New(arg)

@@ -25,28 +25,6 @@ func cxCircuit(n, gates int, seed int64) *circuit.Circuit {
 	return out
 }
 
-func TestTrialRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
-	dev := arch.IBMQ20Tokyo()
-	circ := cxCircuit(16, 120, 11)
-	opts := core.DefaultOptions()
-	opts.Seed = 42
-
-	var ref string
-	for _, workers := range []int{1, 2, 3, 8} {
-		tr := TrialRunner{Trials: 8, Workers: workers}
-		res, err := tr.Route(context.Background(), circ, dev, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := qasm.Format(res.Circuit)
-		if ref == "" {
-			ref = got
-		} else if got != ref {
-			t.Fatalf("workers=%d produced different routed QASM than workers=1", workers)
-		}
-	}
-}
-
 func TestEveryTrialOutputVerifies(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	circ := cxCircuit(14, 90, 5)
@@ -98,6 +76,9 @@ func TestBestOfNNoWorseThanSingleTrial(t *testing.T) {
 	}
 }
 
+// TestTrialRunnerMatchesCoreCompile: RoutePass's default backend, the
+// trial pool at its default worker count, selects exactly what
+// core.Compile selects for identical options.
 func TestTrialRunnerMatchesCoreCompile(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	circ := workloads.QFT(12)
@@ -108,28 +89,34 @@ func TestTrialRunnerMatchesCoreCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrialRunner{Workers: 4} // Trials taken from opts
-	got, err := tr.Route(context.Background(), circ, dev, opts)
+	pc, err := New(RoutePass{Workers: 4}).Compile(context.Background(), circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := pc.Result
 	if qasm.Format(got.Circuit) != qasm.Format(want.Circuit) {
-		t.Fatal("TrialRunner result diverged from core.Compile for identical options")
+		t.Fatal("RoutePass result diverged from core.Compile for identical options")
 	}
 	if got.AddedGates != want.AddedGates || got.SwapCount != want.SwapCount {
-		t.Fatalf("accounting diverged: runner %d/%d vs compile %d/%d",
+		t.Fatalf("accounting diverged: route pass %d/%d vs compile %d/%d",
 			got.AddedGates, got.SwapCount, want.AddedGates, want.SwapCount)
 	}
 }
 
-func TestTrialRunnerCancellation(t *testing.T) {
+// TestAdaptivePassRuns exercises the Patience plumbing through
+// RoutePass.
+func TestAdaptivePassRuns(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
-	circ := workloads.QFT(16)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tr := TrialRunner{Trials: 4}
-	if _, err := tr.Route(ctx, circ, dev, core.DefaultOptions()); err == nil {
-		t.Fatal("expected cancellation error")
+	circ := workloads.GHZ(10)
+	opts := core.DefaultOptions()
+	opts.Seed = 11
+	pm := New(RoutePass{Trials: 12, Patience: 2}, VerifyPass{})
+	pc, err := pm.Compile(context.Background(), circ, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.Result.TrialsRun < 1 || pc.Result.TrialsRun > 12 {
+		t.Fatalf("TrialsRun = %d", pc.Result.TrialsRun)
 	}
 }
 

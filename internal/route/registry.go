@@ -33,7 +33,7 @@ var (
 )
 
 func init() {
-	Register("sabre", func() core.Router { return core.SabreRouter{} })
+	Register("sabre", func() core.Router { return core.TrialRunner{Workers: 1} })
 	Register("greedy", func() core.Router { return baseline.GreedyRouter{} })
 	Register("astar", func() core.Router { return baseline.AStarRouter{} })
 	Register("anneal", func() core.Router { return AnnealRouter{} })

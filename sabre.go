@@ -434,7 +434,9 @@ type (
 	PipelineContext = pipeline.Ctx
 	// PassMetric instruments one executed pass.
 	PassMetric = pipeline.PassMetric
-	// TrialRunner is the bounded-pool best-of-N routing backend.
+	// TrialRunner is the bounded-pool best-of-N routing backend:
+	// core.TrialRunner, the one trial loop behind Compile, CompileN,
+	// CompileAdaptive, the "sabre" registry entry and the route pass.
 	TrialRunner = pipeline.TrialRunner
 	// Router abstracts a routing backend (SABRE, greedy, A*,
 	// annealing, token swapping, or anything registered at runtime).
