@@ -248,8 +248,8 @@ func BenchmarkRoutePassOnly(b *testing.B) {
 
 // BenchmarkAblationHeuristic compares the three cost functions of §IV-D
 // on the same workload: basic (Eq. 1), lookahead (Eq. 2 w/o decay) and
-// the full decay heuristic — the design-choice ablation DESIGN.md
-// calls out.
+// the full decay heuristic — the paper's own design-choice ablation
+// of its cost functions.
 func BenchmarkAblationHeuristic(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	circ := workloads.QFT(13)

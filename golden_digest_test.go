@@ -20,9 +20,12 @@ import (
 	"math/rand"
 	"testing"
 
+	sabre "repro"
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/mapping"
+	"repro/internal/route"
 	"repro/internal/workloads"
 )
 
@@ -63,13 +66,19 @@ func (d *digestWriter) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 // goldenDigests are the sha256 digests of the whole Table II suite per
 // configuration.
 var goldenDigests = map[string]string{
-	"compile/default":    "7d271568bd88acede1867ded5bc4c30af664525fc9507d63fe4356cf041c4568",
-	"compile/bridge":     "0c709c15af0a1fb70932a70f2e71f0312538f6bb7fe5b2aebccdabb8101a8035",
-	"compile/noise":      "9fd0b521e44f585e074fce86d629511fa42297931d2bb7f3577d8cc8abc1ae5e",
-	"compile/basic":      "359228eede02e52b41c084279735e33569e52592c0fa905c4465dca776feac46",
-	"compile/lookahead":  "fa4dde0b4bfcf36ee709288252d51f52daadd5ec83545314b9895abcb3435ef4",
-	"stream/default":     "9740375d4dc3020b61f672c51a284dd553b34cb57a97de40085e0f69411ec678",
-	"stream/lookahead16": "2d41aac42eadc9927fbf857464eba34ef17961de34b317f963f6a18a00ab6fa9",
+	"compile/default":       "7d271568bd88acede1867ded5bc4c30af664525fc9507d63fe4356cf041c4568",
+	"compile/bridge":        "0c709c15af0a1fb70932a70f2e71f0312538f6bb7fe5b2aebccdabb8101a8035",
+	"compile/noise":         "9fd0b521e44f585e074fce86d629511fa42297931d2bb7f3577d8cc8abc1ae5e",
+	"compile/basic":         "359228eede02e52b41c084279735e33569e52592c0fa905c4465dca776feac46",
+	"compile/lookahead":     "fa4dde0b4bfcf36ee709288252d51f52daadd5ec83545314b9895abcb3435ef4",
+	"stream/default":        "9740375d4dc3020b61f672c51a284dd553b34cb57a97de40085e0f69411ec678",
+	"stream/lookahead16":    "2d41aac42eadc9927fbf857464eba34ef17961de34b317f963f6a18a00ab6fa9",
+	"route/anneal":          "4e65da303ce3eda5a39fa0ebe46e4769fb9c8d67485b97533fa437c6ed101ef5",
+	"route/anneal-noise":    "28cd02b8b124bba7019061006145db25c37febfe93e25074cf6b1748ce28c732",
+	"route/tokenswap":       "2e2417478825096e7d29a8cfb836a4188a1ef6799b46552a646a091108cf834f",
+	"route/tokenswap-noise": "335feb3682c239f50d6ca43d8ffc856a6ef6d3617f3fae9b228cc63c3b546479",
+	"layout/identity":       "50d3c04d376edf6146aba36754cc1c12c0622cd3b77ef387b6298599a534d05e",
+	"layout/identity-noise": "c172aa6843276bd2cc27b58d2d0280799127284cc6c51779d4dfd5c6211cbd4d",
 }
 
 func checkDigest(t *testing.T, name, got string) {
@@ -139,6 +148,80 @@ func TestGoldenDigestStream(t *testing.T) {
 			d.layout(res.InitialLayout)
 			d.layout(res.FinalLayout)
 			d.ints(res.Stats.SwapCount, res.Stats.BridgeCount)
+		}
+		checkDigest(t, tc.name, d.sum())
+	}
+}
+
+// result hashes one routed outcome with its full accounting.
+func (d *digestWriter) result(res *core.Result) {
+	d.gates(res.Circuit.Gates())
+	d.layout(res.InitialLayout)
+	d.layout(res.FinalLayout)
+	d.ints(res.SwapCount, res.BridgeCount, res.AddedGates, res.FirstTraversalAdded, res.TrialsRun)
+}
+
+// TestGoldenDigestRouters pins the anneal and tokenswap backends
+// (2 trials; anneal at 2 chains of 8 steps) over the Table II
+// workloads of at most 5k gates, with hop distances and under a noise
+// model with coupler pruning.
+func TestGoldenDigestRouters(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	noise := arch.RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(7)))
+	for _, tc := range []struct {
+		name   string
+		router core.Router
+		noisy  bool
+	}{
+		{"route/anneal", route.AnnealRouter{Iterations: 8, Chains: 2}, false},
+		{"route/anneal-noise", route.AnnealRouter{Iterations: 8, Chains: 2}, true},
+		{"route/tokenswap", route.TokenSwapRouter{}, false},
+		{"route/tokenswap-noise", route.TokenSwapRouter{}, true},
+	} {
+		opts := core.DefaultOptions()
+		opts.Trials = 2
+		if tc.noisy {
+			opts.Noise, opts.MaxEdgeError = noise, 0.05
+		}
+		d := newDigestWriter()
+		for _, b := range workloads.All() {
+			if b.Gori > 5000 {
+				continue
+			}
+			res, err := tc.router.Route(context.Background(), b.Build(), dev, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, b.Name, err)
+			}
+			d.result(res)
+		}
+		checkDigest(t, tc.name, d.sum())
+	}
+}
+
+// TestGoldenDigestFixedLayout pins fixed-layout routing (one forward
+// traversal from the identity layout) over every Table II workload,
+// with hop distances and under a noise model with coupler pruning.
+func TestGoldenDigestFixedLayout(t *testing.T) {
+	dev := sabre.IBMQ20Tokyo()
+	noise := arch.RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(7)))
+	for _, tc := range []struct {
+		name  string
+		noisy bool
+	}{
+		{"layout/identity", false},
+		{"layout/identity-noise", true},
+	} {
+		opts := sabre.DefaultOptions()
+		if tc.noisy {
+			opts.Noise, opts.MaxEdgeError = noise, 0.05
+		}
+		d := newDigestWriter()
+		for _, b := range workloads.All() {
+			res, err := sabre.CompileWithLayout(b.Build(), dev, mapping.Identity(dev.NumQubits()), opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, b.Name, err)
+			}
+			d.result(res)
 		}
 		checkDigest(t, tc.name, d.sum())
 	}

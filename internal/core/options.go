@@ -123,8 +123,10 @@ type Options struct {
 
 	// MaxStall bounds consecutive SWAP insertions without executing a
 	// gate before the router falls back to deterministic shortest-path
-	// routing of the oldest front gate (a termination safeguard; 0
-	// selects 4·diameter+16). See DESIGN.md "Algorithm notes".
+	// routing of the oldest front gate (0 selects 4·diameter+16).
+	// Algorithm 1 itself has no such bound: the heuristic can keep
+	// picking SWAPs that never make a front gate executable, so this
+	// fallback is what guarantees every traversal terminates.
 	MaxStall int
 
 	// UseBridge enables the 4-CNOT bridge transformation for distance-2
@@ -135,8 +137,9 @@ type Options struct {
 
 	// Noise, when non-nil, makes the heuristic route over
 	// reliability-weighted distances (-ln(1-err) per edge) instead of
-	// hop counts — the variability-aware extension of §VI. The distance
-	// matrix is recomputed per traversal from the model.
+	// hop counts — the variability-aware extension of §VI. The weighted
+	// matrix is computed once per (device, model) and memoized on the
+	// device (arch.Device.WeightedDistancesFor); traversals only read it.
 	Noise *arch.NoiseModel
 
 	// MaxEdgeError, with Noise set, excludes couplers whose error rate

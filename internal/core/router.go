@@ -10,7 +10,7 @@ import (
 	"repro/internal/mapping"
 )
 
-// PassResult is the outcome of one traversal (RoutePass): the routed
+// PassResult is the outcome of one traversal (PassRunner.Run): the routed
 // physical circuit, the layouts bracketing it, and the SWAP count.
 type PassResult struct {
 	Circuit       *circuit.Circuit
@@ -40,6 +40,28 @@ type PassStats struct {
 	// cache; this stays well below the number of rounds that consult
 	// it.
 	ExtendedRebuilds int
+}
+
+// AddedGates is the traversal's routing cost: 3 gates per SWAP and
+// per bridge.
+func (p PassResult) AddedGates() int { return 3 * (p.SwapCount + p.BridgeCount) }
+
+// Result lifts one traversal to the Result contract as a one-trial
+// compile: its added gates are also g_la, and Elapsed is left to the
+// caller. It is the one PassResult→Result conversion; multi-traversal
+// trials overwrite FirstTraversalAdded and TrialsRun.
+func (p PassResult) Result() *Result {
+	return &Result{
+		Circuit:             p.Circuit,
+		InitialLayout:       p.InitialLayout.LogicalToPhysical(),
+		FinalLayout:         p.FinalLayout.LogicalToPhysical(),
+		SwapCount:           p.SwapCount,
+		BridgeCount:         p.BridgeCount,
+		AddedGates:          p.AddedGates(),
+		FirstTraversalAdded: p.AddedGates(),
+		TrialsRun:           1,
+		Stats:               p.Stats,
+	}
 }
 
 // AvgCandidates returns the mean SWAP-candidate count per round.
@@ -122,6 +144,9 @@ func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassR
 	}
 	return pr
 }
+
+// Circuit returns the widened circuit the runner routes.
+func (pr *PassRunner) Circuit() *circuit.Circuit { return pr.circ }
 
 // Run performs one traversal of SABRE's SWAP-based heuristic search
 // (Algorithm 1) starting from init, using s for every mutable buffer
@@ -207,15 +232,6 @@ func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.L
 
 		cancelled: cancelled,
 	}
-}
-
-// RoutePass runs one traversal of SABRE's SWAP-based heuristic search
-// (Algorithm 1) over circ starting from the given layout. circ must
-// already be widened to the device's qubit count. The input layout is
-// not mutated. Callers that route the same circuit repeatedly should
-// construct a PassRunner once and reuse it (plus a Scratch) instead.
-func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options, rng *rand.Rand) PassResult {
-	return NewPassRunner(circ, dev, opts).Run(init, rng, nil)
 }
 
 // depTables are the handle-indexed tables a traversal reads. A handle

@@ -290,9 +290,9 @@ func TestRoutePassDoesNotMutateInputLayout(t *testing.T) {
 	c.Append(circuit.CX(0, 3))
 	init := mapping.Identity(4)
 	before := init.Clone()
-	RoutePass(c, dev, init, DefaultOptions(), rand.New(rand.NewSource(1)))
+	NewPassRunner(c, dev, DefaultOptions()).Run(init, rand.New(rand.NewSource(1)), nil)
 	if !init.Equal(before) {
-		t.Fatal("RoutePass mutated the caller's layout")
+		t.Fatal("a traversal mutated the caller's layout")
 	}
 }
 

@@ -22,10 +22,9 @@ type Prepared struct {
 	dev  *arch.Device
 	opts Options
 
-	// fwd and rev hold the prepared (DAG-carrying) pass runners for the
-	// widened forward and reversed circuits. Both DAGs are
-	// trial-invariant; before they moved here, every traversal of every
-	// trial rebuilt them from scratch.
+	// fwd and rev are the pass runners of the widened forward and
+	// reversed circuits, built once and shared by every trial; rev is
+	// nil when trials are single forward traversals (Traversals == 1).
 	fwd *PassRunner
 	rev *PassRunner
 }
@@ -33,8 +32,9 @@ type Prepared struct {
 // Prepare validates circ against dev and precomputes the shared
 // read-only state every trial needs: the widened forward and reversed
 // circuits, their dependency DAGs, and the device's (possibly
-// noise-weighted) distance matrices. The returned value is safe for
-// concurrent RunTrialCtx calls.
+// noise-weighted) distance matrices. Every materialized router shares
+// this prologue (pruning, width check, widening). The returned value
+// is safe for concurrent RunTrialCtx calls.
 func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, error) {
 	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
@@ -46,17 +46,14 @@ func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, 
 	if circ.NumQubits() < dev.NumQubits() {
 		wide = circ.Widen(dev.NumQubits())
 	}
-	if opts.Noise != nil {
-		// Publish the weighted distance matrix before trials fan out so
-		// concurrent traversals only ever read the memo.
-		dev.WeightedDistancesFor(opts.Noise)
+	// NewPassRunner publishes the memoized noise-weighted distance
+	// matrix before trials fan out, so concurrent traversals only ever
+	// read it.
+	p := &Prepared{dev: dev, opts: opts, fwd: NewPassRunner(wide, dev, opts)}
+	if opts.Traversals > 1 {
+		p.rev = NewPassRunner(wide.Reverse(), dev, opts)
 	}
-	return &Prepared{
-		dev:  dev,
-		opts: opts,
-		fwd:  NewPassRunner(wide, dev, opts),
-		rev:  NewPassRunner(wide.Reverse(), dev, opts),
-	}, nil
+	return p, nil
 }
 
 // Options returns the normalized options the trials run under.
@@ -65,6 +62,10 @@ func (p *Prepared) Options() Options { return p.opts }
 // Device returns the effective device trials route on (the input
 // device, or its noise-pruned subdevice).
 func (p *Prepared) Device() *arch.Device { return p.dev }
+
+// Forward returns the runner of the widened forward circuit, for trial
+// bodies that drive their own traversals (see TrialRunner.Body).
+func (p *Prepared) Forward() *PassRunner { return p.fwd }
 
 // RunTrialWith executes one random restart: Traversals alternating
 // forward/backward passes seeded by Seed+trial (the reverse-traversal
@@ -106,20 +107,12 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 		}
 		layout = final.FinalLayout
 		if t == 0 {
-			firstAdded = 3 * (final.SwapCount + final.BridgeCount)
+			firstAdded = final.AddedGates()
 		}
 	}
-	res := &Result{
-		Circuit:             final.Circuit,
-		InitialLayout:       final.InitialLayout.LogicalToPhysical(),
-		FinalLayout:         final.FinalLayout.LogicalToPhysical(),
-		SwapCount:           final.SwapCount,
-		BridgeCount:         final.BridgeCount,
-		AddedGates:          3 * (final.SwapCount + final.BridgeCount),
-		FirstTraversalAdded: firstAdded,
-		TrialsRun:           trial + 1,
-		Stats:               final.Stats,
-	}
+	res := final.Result()
+	res.FirstTraversalAdded = firstAdded
+	res.TrialsRun = trial + 1
 	return res, final.Circuit.DecomposeSwaps().Depth(), nil
 }
 
@@ -192,40 +185,30 @@ func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device
 	return TrialRunner{Workers: 1}.Route(ctx, circ, dev, opts)
 }
 
-// CompileWithLayout routes circ starting from a caller-chosen initial
-// layout, skipping the random restarts and reverse traversals. Useful
-// when a good initial mapping is already known (e.g. produced by a
-// previous Compile on a related circuit).
-func CompileWithLayout(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options) (*Result, error) {
+// CompileWithLayout routes circ with one forward traversal from a
+// caller-chosen initial layout, skipping the random restarts and
+// reverse traversals. Useful when a good initial mapping is already
+// known (e.g. InitialMapping's, or one produced by a previous Compile
+// on a related circuit). The traversal is seeded by Options.Seed and
+// polls ctx at round granularity.
+func CompileWithLayout(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options) (*Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
-	opts = opts.normalized()
-	dev = effectiveDevice(dev, opts)
-	if circ.NumQubits() > dev.NumQubits() {
-		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
+	opts.Traversals = 1 // one forward pass: Prepare skips the reversed runner
+	p, err := Prepare(circ, dev, opts)
+	if err != nil {
+		return nil, err
 	}
-	if init.Size() != dev.NumQubits() {
-		return nil, fmt.Errorf("core: layout size %d does not match device size %d", init.Size(), dev.NumQubits())
+	if init.Size() != p.dev.NumQubits() {
+		return nil, fmt.Errorf("core: layout size %d does not match device size %d", init.Size(), p.dev.NumQubits())
 	}
-	wide := circ
-	if circ.NumQubits() < dev.NumQubits() {
-		wide = circ.Widen(dev.NumQubits())
+	pass, err := p.fwd.RunContext(ctx, init, rand.New(rand.NewSource(p.opts.Seed)), nil)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	pass := RoutePass(wide, dev, init, opts, rng)
-	return &Result{
-		Circuit:             pass.Circuit,
-		InitialLayout:       pass.InitialLayout.LogicalToPhysical(),
-		FinalLayout:         pass.FinalLayout.LogicalToPhysical(),
-		SwapCount:           pass.SwapCount,
-		BridgeCount:         pass.BridgeCount,
-		AddedGates:          3 * (pass.SwapCount + pass.BridgeCount),
-		FirstTraversalAdded: 3 * (pass.SwapCount + pass.BridgeCount),
-		TrialsRun:           1,
-		Stats:               pass.Stats,
-		Elapsed:             time.Since(start),
-	}, nil
+	res := pass.Result()
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // effectiveDevice applies noise-driven edge pruning when configured:
@@ -239,41 +222,17 @@ func effectiveDevice(dev *arch.Device, opts Options) *arch.Device {
 	return arch.PruneUnreliableEdges(dev, opts.Noise, opts.MaxEdgeError)
 }
 
-// InitialMapping runs the forward-backward prefix of SABRE and returns
-// the improved initial layout without producing a routed circuit. This
-// exposes the reverse-traversal technique as a standalone layout pass
-// (the role SabreLayout plays in production compilers).
-func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
-	opts = opts.normalized()
-	dev = effectiveDevice(dev, opts)
-	if circ.NumQubits() > dev.NumQubits() {
-		return mapping.Layout{}, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
+// InitialMapping returns the improved initial mapping of SABRE's
+// reverse-traversal search (§IV-C2) without the routed circuit — the
+// role SabreLayout plays in production compilers. It is a by-product
+// of the best-of-N search, not a second search: the initial layout of
+// the trial Compile selects under the same options (fewest added
+// gates, then depth, then seed), so it always equals
+// Compile(...).InitialLayout.
+func InitialMapping(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
+	res, err := TrialRunner{Workers: 1}.Route(ctx, circ, dev, opts)
+	if err != nil {
+		return mapping.Layout{}, err
 	}
-	wide := circ
-	if circ.NumQubits() < dev.NumQubits() {
-		wide = circ.Widen(dev.NumQubits())
-	}
-	reversed := wide.Reverse()
-	fwd := NewPassRunner(wide, dev, opts)
-	rev := NewPassRunner(reversed, dev, opts)
-	scratch := NewScratch()
-
-	bestSwaps := -1
-	var bestLayout mapping.Layout
-	for trial := 0; trial < opts.Trials; trial++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(trial)))
-		layout := mapping.Random(dev.NumQubits(), rng)
-		// Forward then backward: the backward pass's final mapping is
-		// the improved initial mapping for the original circuit.
-		f := fwd.Run(layout, rng, scratch)
-		b := rev.Run(f.FinalLayout, rng, scratch)
-		// Score the candidate by one evaluation pass.
-		probe := fwd.Run(b.FinalLayout, rng, scratch)
-		if bestSwaps < 0 || probe.SwapCount < bestSwaps {
-			bestSwaps = probe.SwapCount
-			bestLayout = b.FinalLayout
-		}
-	}
-	return bestLayout, nil
+	return mapping.FromLogicalToPhysical(res.InitialLayout)
 }

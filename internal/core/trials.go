@@ -16,10 +16,11 @@ import (
 // TrialRunner executes the paper's best-of-N protocol — N independent
 // routing trials, each a full reverse-traversal restart from a
 // different random initial mapping (§IV-C2) — across a bounded worker
-// pool. It is the only best-of-N routing loop: Compile is
-// TrialRunner{Workers: 1}, the registry's "sabre" router is the same
-// value, and the pipeline's RoutePass runs it with its own worker
-// bound.
+// pool. It is the only best-of-N routing loop: Compile and
+// InitialMapping are TrialRunner{Workers: 1}, the registry's "sabre"
+// router is the same value, the pipeline's RoutePass runs it with its
+// own worker bound, and the anneal and tokenswap routers
+// (internal/route) run their chains and restarts as its Body.
 //
 // All trials share one Prepared (widened/reversed circuits and the
 // device's cached distance matrices) read-only; nothing is locked on
@@ -54,16 +55,27 @@ type TrialRunner struct {
 	// already past the stop point may finish extra trials; those are
 	// excluded from selection to keep the outcome deterministic.
 	Patience int
+
+	// Body runs each trial (nil = Prepared.RunTrialCtx, the paper's
+	// reverse-traversal restart).
+	Body TrialBody
 }
+
+// TrialBody runs one trial of a best-of-N search on the shared
+// Prepared with the worker's Scratch, and returns its result and
+// decomposed depth (the selection tie-break). A body seeds its
+// randomness from Options.Seed+trial and polls ctx; it inherits the
+// runner's pool, selection rule and cancellation contract.
+type TrialBody func(ctx context.Context, p *Prepared, trial int, s *Scratch) (*Result, int, error)
 
 // Name implements Router.
 func (TrialRunner) Name() string { return "sabre" }
 
 // Route implements Router: it runs the trials and returns the
 // deterministic winner. Cancellation is honored at trial boundaries
-// and inside each trial's SWAP loop at round granularity; a cancelled
-// run returns ctx.Err(). Result.Elapsed covers preparation and every
-// trial (Table II's t_op).
+// and, through the body, inside each trial (RunTrialCtx polls at
+// round granularity); a cancelled run returns ctx.Err().
+// Result.Elapsed covers preparation and every trial (Table II's t_op).
 func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
@@ -114,6 +126,16 @@ func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev 
 	return tr.runPool(ctx, p, workers, results, depths)
 }
 
+// body resolves the trial body (nil = the reverse-traversal restart).
+func (tr TrialRunner) body() TrialBody {
+	if tr.Body != nil {
+		return tr.Body
+	}
+	return func(ctx context.Context, p *Prepared, trial int, s *Scratch) (*Result, int, error) {
+		return p.RunTrialCtx(ctx, trial, s)
+	}
+}
+
 // runPool runs the trials on workers goroutines, each with its own
 // Scratch, fed in seed order until the adaptive stop point (or all n
 // trials) has been handed out.
@@ -129,6 +151,7 @@ func (tr TrialRunner) runPool(ctx context.Context, p *Prepared, workers int, res
 		panicVal  atomic.Value
 	)
 	done := ctx.Done() // read once; the feeder selects on it per trial
+	body := tr.body()
 	trials := make(chan int)
 	// completions is buffered to n so workers never block reporting;
 	// the feeder drains it opportunistically to learn the early-exit
@@ -152,7 +175,7 @@ func (tr TrialRunner) runPool(ctx context.Context, p *Prepared, workers int, res
 				// results slot is nil, and the prefix watcher walking
 				// a "completed" nil entry would dereference it. The
 				// feeder still terminates via its done case.
-				res, depth, err := runTrialRecover(&panicOnce, &panicVal, p, ctx, trial, scratch)
+				res, depth, err := runTrialRecover(&panicOnce, &panicVal, body, ctx, p, trial, scratch)
 				if err != nil {
 					continue
 				}
@@ -227,9 +250,13 @@ feed:
 // with the trial's own stack.
 func (tr TrialRunner) runOnCaller(ctx context.Context, p *Prepared, results []*Result, depths []int) ([]*Result, []int, error) {
 	s := NewScratch()
+	body := tr.body()
 	prefix := newPrefixWatcher(results, depths, tr.Patience)
 	for trial := range results {
-		res, depth, err := p.RunTrialCtx(ctx, trial, s)
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		res, depth, err := body(ctx, p, trial, s)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -247,7 +274,7 @@ func (tr TrialRunner) runOnCaller(ctx context.Context, p *Prepared, results []*R
 // the feed — with every worker parked behind an unrecovered panic the
 // feeder would deadlock. RunTrials re-raises the captured panic once
 // the pool drains.
-func runTrialRecover(once *sync.Once, pv *atomic.Value, p *Prepared, ctx context.Context, trial int, scratch *Scratch) (res *Result, depth int, err error) {
+func runTrialRecover(once *sync.Once, pv *atomic.Value, body TrialBody, ctx context.Context, p *Prepared, trial int, scratch *Scratch) (res *Result, depth int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			once.Do(func() {
@@ -256,7 +283,7 @@ func runTrialRecover(once *sync.Once, pv *atomic.Value, p *Prepared, ctx context
 			res, depth, err = nil, 0, fmt.Errorf("core: trial %d panicked", trial)
 		}
 	}()
-	return p.RunTrialCtx(ctx, trial, scratch)
+	return body(ctx, p, trial, scratch)
 }
 
 // prefixWatcher evaluates the adaptive stop rule incrementally over

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: it drives the SABRE core and
 // the baselines over the Table II workload suite and renders the
-// paper's tables and figure series (see DESIGN.md's per-experiment
-// index). cmd/benchtab and bench_test.go are thin wrappers around this
-// package.
+// paper's tables and figure series (Table II, Fig. 8 and the scaling
+// study, one cmd/benchtab mode each). cmd/benchtab and bench_test.go
+// are thin wrappers around this package.
 package exp
 
 import (

@@ -54,9 +54,10 @@ func (CalibratePass) Run(pc *Ctx) error {
 	return nil
 }
 
-// LayoutPass runs SABRE's reverse-traversal initial-mapping search
-// (the role SabreLayout plays in production compilers) and records the
-// improved layout in pc.Layout for a subsequent RoutePass.
+// LayoutPass runs SABRE's best-of-N reverse-traversal search (the role
+// SabreLayout plays in production compilers) and records the winning
+// trial's initial layout in pc.Layout for a subsequent RoutePass. The
+// search polls the pipeline's context at round granularity.
 type LayoutPass struct{}
 
 // Name implements Pass.
@@ -67,7 +68,7 @@ func (LayoutPass) Run(pc *Ctx) error {
 	if pc.Circuit == nil {
 		return errors.New("no circuit in context")
 	}
-	l, err := core.InitialMapping(pc.Circuit, pc.Device, pc.Options)
+	l, err := core.InitialMapping(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	if err != nil {
 		return err
 	}
@@ -121,7 +122,7 @@ func (p RoutePass) Run(pc *Ctx) error {
 	case p.Router != nil:
 		res, err = p.Router.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	case pc.Layout.Size() > 0:
-		res, err = core.CompileWithLayout(pc.Circuit, pc.Device, pc.Layout, pc.Options)
+		res, err = core.CompileWithLayout(pc.Context(), pc.Circuit, pc.Device, pc.Layout, pc.Options)
 	default:
 		tr := TrialRunner{Trials: p.Trials, Workers: p.Workers, Patience: p.Patience}
 		res, err = tr.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)

@@ -142,9 +142,10 @@ func (m *Manager) Run(pc *Ctx) error {
 }
 
 // RunContext executes the pipeline on pc, checking ctx before each
-// pass (long passes additionally honor it internally, e.g. the trial
-// runner at trial boundaries). The first pass error aborts the run;
-// pc.Metrics records every pass that completed.
+// pass (long passes additionally honor it internally: every routing
+// traversal, the layout search's included, polls it at round
+// granularity). The first pass error aborts the run; pc.Metrics
+// records every pass that completed.
 func (m *Manager) RunContext(ctx context.Context, pc *Ctx) error {
 	if ctx == nil {
 		ctx = context.Background()

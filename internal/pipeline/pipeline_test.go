@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -197,6 +198,75 @@ func TestLayoutThenRouteUsesLayout(t *testing.T) {
 		if pc.Result.InitialLayout[q] != p {
 			t.Fatalf("route pass ignored the layout pass output at logical %d", q)
 		}
+	}
+}
+
+// nthDoneCtx closes its Done channel on the nth call to Done (never,
+// for n <= 0) and counts every call, so cancellation lands at a fixed
+// point inside a pass instead of wherever a timer happens to fire.
+type nthDoneCtx struct {
+	context.Context
+	n, calls int
+	done     chan struct{}
+}
+
+func newNthDoneCtx(n int) *nthDoneCtx {
+	return &nthDoneCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *nthDoneCtx) Done() <-chan struct{} {
+	c.calls++
+	if c.calls == c.n {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *nthDoneCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestLayoutPipelinesHonourCancellation: the layout search and the
+// fixed-layout route both poll the pipeline's context inside their
+// traversals, so a caller that cancels mid-pass gets context.Canceled
+// from that pass instead of a finished compile.
+func TestLayoutPipelinesHonourCancellation(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	circ := cxCircuit(14, 300, 1)
+	opts := core.DefaultOptions()
+	opts.Trials = 2
+
+	// Cancel during the layout search's second traversal.
+	layout, err := Build("layout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := layout.Compile(newNthDoneCtx(2), circ, dev, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("layout: want context.Canceled mid-search, got %v", err)
+	}
+
+	// Count the layout pass's Done calls on a context that never
+	// fires, then cancel on the first call after them: inside the
+	// fixed-layout route.
+	probe := newNthDoneCtx(0)
+	if _, err := layout.Compile(probe, circ, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	both, err := Build("layout", "route")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := both.Compile(newNthDoneCtx(probe.calls+1), circ, dev, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("layout,route: want context.Canceled in the route pass, got %v", err)
+	}
+	if pc.Layout.Size() == 0 || pc.Result != nil {
+		t.Fatalf("cancellation should land in the route pass (layout size %d, result %v)", pc.Layout.Size(), pc.Result)
 	}
 }
 

@@ -2,10 +2,8 @@ package route
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -20,8 +18,10 @@ import (
 // layout; worse states are accepted with probability exp(-Δ/T) under a
 // geometric cooling schedule, so the chain can climb out of the local
 // minima a greedy restart is stuck with. Options.Trials independent
-// chains run from distinct seeds and the best routed circuit wins
-// (fewest added gates, ties by decomposed depth, then lowest seed).
+// chains run as the trials of a core.TrialRunner (chain c under seed
+// Seed+c), so the best routed circuit wins by the same rule as SABRE's
+// restarts (fewest added gates, ties by decomposed depth, then lowest
+// seed).
 //
 // The router is deterministic for a fixed Options.Seed and honors ctx
 // cancellation at every annealing step.
@@ -43,156 +43,68 @@ func (AnnealRouter) Name() string { return "anneal" }
 
 // Route implements core.Router.
 func (r AnnealRouter) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*core.Result, error) {
-	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
-	start := time.Now()
-	wide, dev, opts, err := widen(circ, dev, opts)
-	if err != nil {
-		return nil, err
-	}
+	opts.Traversals = 1 // every step is one forward traversal
+	return core.TrialRunner{Trials: r.Chains, Workers: 1, Body: r.chain}.Route(ctx, circ, dev, opts)
+}
+
+// chain runs one annealing chain from its seeded random layout and
+// returns the best state it visited (cost, then decomposed depth, then
+// visit order). Every step re-routes the prepared forward circuit on
+// the same Scratch, so the DAG is built once per search.
+func (r AnnealRouter) chain(ctx context.Context, p *core.Prepared, chain int, s *core.Scratch) (*core.Result, int, error) {
 	iters := r.Iterations
 	if iters <= 0 {
 		iters = defaultAnnealIterations
 	}
-	chains := r.Chains
-	if chains <= 0 {
-		chains = opts.Trials
+	runner := p.Forward()
+	n := p.Device().NumQubits()
+	rng := rand.New(rand.NewSource(p.Options().Seed + int64(chain)))
+	cur := mapping.Random(n, rng)
+	best, err := runner.RunContext(ctx, cur, rng, s)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := dev.NumQubits()
+	curCost, bestCost := best.AddedGates(), best.AddedGates()
+	bestDepth := best.Circuit.DecomposeSwaps().Depth()
 
-	// One prepared runner + scratch for the whole search: every
-	// annealing step re-routes the same circuit, so the DAG is built
-	// once here instead of once per step, and all step traversals
-	// reuse the same warm buffers.
-	runner := core.NewPassRunner(wide, dev, opts)
-	scratch := core.NewScratch()
-
-	var best trialBest
-	for chain := 0; chain < chains; chain++ {
+	if n < 2 {
+		// No transposition exists on a single-qubit device; the chain
+		// is just its starting traversal.
+		return best.Result(), bestDepth, nil
+	}
+	// Temperature is scaled to the chain's starting cost so the early
+	// acceptance rate is workload-independent; it then cools
+	// geometrically to ~2% of the start.
+	temp := math.Max(1, float64(curCost)/3)
+	cooling := math.Pow(0.02, 1/math.Max(1, float64(iters-1)))
+	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(chain)))
-		cur := mapping.Random(n, rng)
-		curPass, err := runner.RunContext(ctx, cur, rng, scratch)
+		cand := cur.Clone()
+		a := rng.Intn(n)
+		b := rng.Intn(n - 1)
+		if b >= a {
+			b++
+		}
+		cand.SwapPhysical(a, b)
+		pass, err := runner.RunContext(ctx, cand, rng, s)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		curCost := addedGates(curPass)
-		best.consider(curPass, curCost)
-
-		if n < 2 {
-			// No transposition exists on a single-qubit device; the
-			// chain is just its starting traversal.
-			continue
+		cost := pass.AddedGates()
+		if cost <= curCost || rng.Float64() < math.Exp(float64(curCost-cost)/temp) {
+			cur, curCost = cand, cost
+			// Depth is computed only when the cost can win; a cost tie
+			// wins only on strictly smaller depth, so the earliest
+			// visit keeps the remaining ties.
+			if cost <= bestCost {
+				if depth := pass.Circuit.DecomposeSwaps().Depth(); cost < bestCost || depth < bestDepth {
+					best, bestCost, bestDepth = pass, cost, depth
+				}
+			}
 		}
-		// Temperature is scaled to the chain's starting cost so the
-		// early acceptance rate is workload-independent; it then cools
-		// geometrically to ~2% of the start.
-		t0 := math.Max(1, float64(curCost)/3)
-		cooling := math.Pow(0.02, 1/math.Max(1, float64(iters-1)))
-		temp := t0
-		for i := 0; i < iters; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cand := cur.Clone()
-			a := rng.Intn(n)
-			b := rng.Intn(n - 1)
-			if b >= a {
-				b++
-			}
-			cand.SwapPhysical(a, b)
-			candPass, err := runner.RunContext(ctx, cand, rng, scratch)
-			if err != nil {
-				return nil, err
-			}
-			candCost := addedGates(candPass)
-			if candCost <= curCost || rng.Float64() < math.Exp(float64(curCost-candCost)/temp) {
-				cur, curPass, curCost = cand, candPass, candCost
-				best.consider(curPass, curCost)
-			}
-			temp *= cooling
-		}
+		temp *= cooling
 	}
-	return best.result(chains, time.Since(start)), nil
-}
-
-// trialBest tracks the incumbent routed traversal across chains with
-// the deterministic comparator (cost, then decomposed depth, then
-// chain order). Depth is only computed on cost ties, keeping the hot
-// path to one routing pass per step.
-type trialBest struct {
-	pass  core.PassResult
-	cost  int
-	depth int
-	set   bool
-}
-
-func (b *trialBest) consider(pass core.PassResult, cost int) {
-	if b.set && cost > b.cost {
-		return
-	}
-	depth := pass.Circuit.DecomposeSwaps().Depth()
-	// Cost tie: later finds only win on strictly smaller depth, so the
-	// earliest chain keeps remaining ties (lowest-seed rule).
-	if b.set && cost == b.cost && depth >= b.depth {
-		return
-	}
-	b.pass = pass
-	b.cost = cost
-	b.depth = depth
-	b.set = true
-}
-
-func (b *trialBest) result(trials int, elapsed time.Duration) *core.Result {
-	return passToResult(b.pass, trials, elapsed)
-}
-
-// addedGates is the routing cost of one traversal: 3 gates per SWAP
-// and per bridge.
-func addedGates(p core.PassResult) int {
-	return 3 * (p.SwapCount + p.BridgeCount)
-}
-
-// passToResult lifts a single traversal's PassResult to the Router
-// result contract.
-func passToResult(p core.PassResult, trials int, elapsed time.Duration) *core.Result {
-	added := addedGates(p)
-	return &core.Result{
-		Circuit:             p.Circuit,
-		InitialLayout:       p.InitialLayout.LogicalToPhysical(),
-		FinalLayout:         p.FinalLayout.LogicalToPhysical(),
-		SwapCount:           p.SwapCount,
-		BridgeCount:         p.BridgeCount,
-		AddedGates:          added,
-		FirstTraversalAdded: added,
-		TrialsRun:           trials,
-		Stats:               p.Stats,
-		Elapsed:             elapsed,
-	}
-}
-
-// widen mirrors core.Prepare for routers that drive core.RoutePass
-// directly: it applies the noise-driven edge pruning of
-// Options.MaxEdgeError (so these backends honor the same
-// excluded-coupler contract as sabre), validates circ against the
-// effective device, and pads the circuit to the device width. It also
-// resolves the Trials default this package reads itself (RoutePass
-// normalizes the remaining knobs internally). Routing must happen on
-// the returned device.
-func widen(circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*circuit.Circuit, *arch.Device, core.Options, error) {
-	if opts.Noise != nil && opts.MaxEdgeError > 0 {
-		dev = arch.PruneUnreliableEdges(dev, opts.Noise, opts.MaxEdgeError)
-	}
-	if circ.NumQubits() > dev.NumQubits() {
-		return nil, nil, opts, fmt.Errorf("route: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = core.DefaultOptions().Trials
-	}
-	if circ.NumQubits() < dev.NumQubits() {
-		circ = circ.Widen(dev.NumQubits())
-	}
-	return circ, dev, opts, nil
+	return best.Result(), bestDepth, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -23,10 +22,11 @@ import (
 // approach used by permutation-based routers.
 //
 // Options.Trials independent restarts from random initial mappings run
-// under seeds Seed..Seed+Trials-1 and the best routed circuit wins
-// (fewest added gates, ties by decomposed depth, then lowest seed).
-// The router is deterministic for a fixed Options.Seed and honors ctx
-// cancellation at restart boundaries.
+// as the trials of a core.TrialRunner under seeds
+// Seed..Seed+Trials-1, and the best routed circuit wins by SABRE's
+// rule (fewest added gates, ties by decomposed depth, then lowest
+// seed). The router is deterministic for a fixed Options.Seed and
+// honors ctx cancellation at restart boundaries.
 type TokenSwapRouter struct{}
 
 // Name implements core.Router.
@@ -34,23 +34,17 @@ func (TokenSwapRouter) Name() string { return "tokenswap" }
 
 // Route implements core.Router.
 func (TokenSwapRouter) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*core.Result, error) {
-	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
-	start := time.Now()
-	wide, dev, opts, err := widen(circ, dev, opts)
-	if err != nil {
-		return nil, err
-	}
+	opts.Traversals = 1 // Prepare then skips the reversed circuit
+	return core.TrialRunner{Workers: 1, Body: tokenSwapRestart}.Route(ctx, circ, dev, opts)
+}
 
-	var best trialBest
-	for trial := 0; trial < opts.Trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(trial)))
-		pass := routeTokenSwap(wide, dev, mapping.Random(dev.NumQubits(), rng))
-		best.consider(pass, addedGates(pass))
-	}
-	return best.result(opts.Trials, time.Since(start)), nil
+// tokenSwapRestart is one restart: a token-swapping traversal of the
+// prepared circuit from the trial's seeded random layout.
+func tokenSwapRestart(_ context.Context, p *core.Prepared, trial int, _ *core.Scratch) (*core.Result, int, error) {
+	rng := rand.New(rand.NewSource(p.Options().Seed + int64(trial)))
+	dev := p.Device()
+	pass := routeTokenSwap(p.Forward().Circuit(), dev, mapping.Random(dev.NumQubits(), rng))
+	return pass.Result(), pass.Circuit.DecomposeSwaps().Depth(), nil
 }
 
 // tokenRouter is the mutable state of one token-swapping traversal.

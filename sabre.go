@@ -318,11 +318,11 @@ func Compile(circ *Circuit, dev *Device, opts Options) (*Result, error) {
 // CompileWithLayout routes from a fixed initial layout (single forward
 // traversal, no restarts).
 func CompileWithLayout(circ *Circuit, dev *Device, init Layout, opts Options) (*Result, error) {
-	return core.CompileWithLayout(circ, dev, init, opts)
+	return core.CompileWithLayout(context.Background(), circ, dev, init, opts)
 }
 
-// CompileContext is Compile with cancellation, honored at trial
-// boundaries.
+// CompileContext is Compile with cancellation, honored at round
+// granularity inside each trial's SWAP loop.
 func CompileContext(ctx context.Context, circ *Circuit, dev *Device, opts Options) (*Result, error) {
 	return core.CompileContext(ctx, circ, dev, opts)
 }
@@ -338,17 +338,18 @@ func CompileN(circ *Circuit, dev *Device, opts Options, n int) (*Result, error) 
 	return CompileNContext(context.Background(), circ, dev, opts, n)
 }
 
-// CompileNContext is CompileN with cancellation, honored at trial
-// boundaries.
+// CompileNContext is CompileN with cancellation, honored at round
+// granularity inside each trial's SWAP loop.
 func CompileNContext(ctx context.Context, circ *Circuit, dev *Device, opts Options, n int) (*Result, error) {
 	tr := pipeline.TrialRunner{Trials: n}
 	return tr.Route(ctx, circ, dev, opts)
 }
 
-// FindInitialMapping runs SABRE's reverse-traversal technique and
-// returns only the improved initial layout.
+// FindInitialMapping runs SABRE's reverse-traversal search and returns
+// only the improved initial layout: the winning trial's, so it equals
+// Compile(circ, dev, opts).InitialLayout.
 func FindInitialMapping(circ *Circuit, dev *Device, opts Options) (Layout, error) {
-	return core.InitialMapping(circ, dev, opts)
+	return core.InitialMapping(context.Background(), circ, dev, opts)
 }
 
 // IdentityLayout returns the layout mapping logical i to physical i.

@@ -3,6 +3,7 @@ package sabre
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,49 @@ func TestFindInitialMapping(t *testing.T) {
 	}
 	if res.SwapCount != 0 {
 		t.Fatalf("ising with reverse-traversal layout used %d swaps", res.SwapCount)
+	}
+}
+
+// TestFindInitialMappingIsCompileLayout: the standalone layout is the
+// winning trial's, not the output of a second search, so it equals
+// Compile's InitialLayout under every option family that changes the
+// search (bridges, noise with coupler pruning, the traversal count).
+func TestFindInitialMappingIsCompileLayout(t *testing.T) {
+	for _, dev := range []*Device{IBMQ20Tokyo(), IBMQX5()} {
+		noise := RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(3)))
+		for _, cfg := range []struct {
+			name string
+			mut  func(*Options)
+		}{
+			{"default", func(*Options) {}},
+			{"bridge", func(o *Options) { o.UseBridge = true }},
+			{"noise", func(o *Options) { o.Noise, o.MaxEdgeError = noise, 0.05 }},
+			{"traversals1", func(o *Options) { o.Traversals = 1 }},
+			{"traversals5", func(o *Options) { o.Traversals = 5 }},
+		} {
+			for _, name := range []string{"4gt13_92", "qft_10", "ising_model_13", "rd84_142"} {
+				b, ok := BenchmarkByName(name)
+				if !ok {
+					t.Fatalf("unknown benchmark %s", name)
+				}
+				opts := DefaultOptions()
+				opts.Seed = 2
+				cfg.mut(&opts)
+				c := b.Build()
+				l, err := FindInitialMapping(c, dev, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Compile(c, dev, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := l.LogicalToPhysical(); !slices.Equal(got, res.InitialLayout) {
+					t.Errorf("%s/%s/%s: FindInitialMapping %v, Compile's InitialLayout %v",
+						dev.Name(), cfg.name, name, got, res.InitialLayout)
+				}
+			}
+		}
 	}
 }
 
